@@ -68,11 +68,17 @@ def least_squares(b, y):
 
 
 def residual_delta(r, r_prev):
-    """l2 distance between consecutive residuals, the solver stop signal."""
+    """l2 distance between consecutive residuals, the solver stop signal.
+
+    A float for 1-D residuals; for (m, k) blocks of residual columns, the
+    array of the k column distances.
+    """
     r = np.asarray(r)
     r_prev = np.asarray(r_prev)
     if r.shape != r_prev.shape:
         raise ValueError("residual lengths differ")
+    if r.ndim == 2:
+        return np.linalg.norm(r - r_prev, axis=0)
     return float(np.linalg.norm(r - r_prev))
 
 

@@ -10,18 +10,21 @@ performs at least one iteration (except for y = 0, which short-circuits to
 the zero vector).
 
 fista and admm minimize the lasso objective
-    H(x) = 0.5 * ||A x - y||^2 + lam * ||x||_1;
-gomp, biht and cosamp greedily build a support of at most kappa atoms.
+    H(x) = 0.5 * ||A x - y||^2 + lam * ||x||_1
+with one loop that iterates on a block of pixel columns sharing A, a single
+pixel being a one-column block; gomp, biht and cosamp greedily build a
+support of at most kappa atoms, pixel by pixel.
 Solvers draw no randomness, so results are reproducible bit for bit when
 the time budget is disabled.
 """
 
 import enum
+import itertools
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -50,7 +53,8 @@ class SolverConfig:
                    which is always a candidate
     alpha          quadratic penalty of admm
     epsilon        residual-delta convergence threshold
-    time_limit     wall-clock budget in seconds, None disables it
+    time_limit     per-pixel time budget in seconds, None disables it; in
+                   a fista/admm block it bounds the pixel's time charge
     max_iter       iteration cap, None means unlimited
     seed           reproducibility record; the solvers themselves draw no
                    randomness
@@ -92,7 +96,7 @@ class SolverResult:
     x: np.ndarray
     iterations: int
     converged: bool
-    elapsed: float
+    elapsed: float  # time charge, the wall time of a single-pixel solve
     final_delta: float
     admm_gap: float | None = None  # ||x - z|| at termination, admm only
 
@@ -163,88 +167,183 @@ def _fista_momentum(t):
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
 
 
+class _FistaBlock:
+    """FISTA (Beck & Teboulle 2009) on an (n, k) block of pixel columns.
+
+    The momentum weight t depends only on the iteration number, which every
+    active column shares, so one scalar serves the whole block.
+    """
+
+    def __init__(self, a, y, dictionary, config):
+        self.a = a
+        self.ah = a.conj().T
+        self.inv_l = 1.0 / dictionary.lipschitz
+        self.threshold = config.lam * self.inv_l
+        self.x = np.zeros((a.shape[1], y.shape[1]), dtype=np.complex128)
+        self.z = self.x
+        self.t = 1.0
+
+    def step(self, y):
+        """One iteration; returns the iterate whose residual feeds the stop
+        rule."""
+        # 1. gradient step on the quadratic term at the extrapolated point
+        aux = self.z - self.inv_l * (self.ah @ (self.a @ self.z - y))
+        # 2. proximal shrinkage
+        x_new = soft_threshold(aux, self.threshold)
+        # 3. momentum weight update
+        t_new = _fista_momentum(self.t)
+        # 4. extrapolation
+        self.z = x_new + ((self.t - 1.0) / t_new) * (x_new - self.x)
+        self.x, self.t = x_new, t_new
+        return self.x
+
+    @property
+    def solution(self):
+        return self.x
+
+    def keep(self, cols):
+        self.x, self.z = self.x[:, cols], self.z[:, cols]
+
+    def result(self, j):
+        """(solution, admm_gap) of active column j."""
+        return self.x[:, j].copy(), None
+
+
+class _AdmmBlock:
+    """Scaled-dual ADMM on an (n, k) block of pixel columns.
+
+    The x-update solves (A^H A + alpha I) x = A^H y + alpha (z - w).  The
+    inverse is built once per solve from the cached Cholesky factor, so each
+    iteration is one matrix product (Boyd et al. 2011, section 4.2); a
+    cho_solve on the whole block inside the loop is slower than the serial
+    per-pixel solves.
+    """
+
+    def __init__(self, a, y, dictionary, config):
+        n = a.shape[1]
+        inv = scipy.linalg.cho_solve(
+            dictionary.admm_factor(config.alpha), np.eye(n, dtype=np.complex128)
+        )
+        self.b = inv @ (a.conj().T @ y)
+        self.inv = inv
+        self.alpha = config.alpha
+        # prox threshold of the l1 term under the scaled dual: lam / alpha
+        self.threshold = config.lam / config.alpha
+        self.x = np.zeros((n, y.shape[1]), dtype=np.complex128)
+        self.z = np.zeros_like(self.x)
+        self.w = np.zeros_like(self.x)
+
+    def step(self, y):
+        """One iteration; returns the x iterate, whose residual feeds the stop
+        rule.  The solution is the sparse iterate z."""
+        # 1. quadratic solve through the inverse of the cached factorization
+        self.x = self.b + self.alpha * (self.inv @ (self.z - self.w))
+        # 2. shrinkage step
+        self.z = soft_threshold(self.x + self.w, self.threshold)
+        # 3. dual update
+        self.w = self.w + self.x - self.z
+        return self.x
+
+    @property
+    def solution(self):
+        return self.z
+
+    def keep(self, cols):
+        self.b, self.x, self.z, self.w = (
+            self.b[:, cols], self.x[:, cols], self.z[:, cols], self.w[:, cols]
+        )
+
+    def result(self, j):
+        """(solution, admm_gap) of active column j."""
+        return self.z[:, j].copy(), float(np.linalg.norm(self.x[:, j] - self.z[:, j]))
+
+
+def _solve_block(ys, dictionary, config, block_type):
+    """Solve the pixel columns of an (m, k) measurement block together.
+
+    Returns one (SolverResult, None) per column, or (None, iteration) for a
+    column whose iterate or delta turned non-finite at that iteration.  The
+    stop rule is stop_check's, column by column: a column stops when its
+    delta drops below epsilon, else when its time charge reaches the
+    budget, else at the iteration cap; stopped columns leave the block.
+    Each column is charged an equal share of the block's set-up and of
+    every iteration it takes part in, so the charges of a solve sum to its
+    wall time and a single column is charged its wall time.  All-zero
+    columns short-circuit to the zero vector with 0 iterations.
+    """
+    start = time.perf_counter()
+    a = dictionary.matrix
+    n, k = a.shape[1], ys.shape[1]
+    outcomes = [None] * k
+    nonzero = ys.any(axis=0)
+    cols = np.flatnonzero(nonzero)  # block column of each active column
+    y = ys[:, cols]
+    block = block_type(a, y, dictionary, config) if cols.size else None
+    residual = y
+    delta = np.ones(cols.size)  # starts at 1: at least one iteration
+    finite = np.ones(cols.size, dtype=bool)
+    iterations = 0
+    mark = time.perf_counter()
+    charge = np.full(k, (mark - start) / k)
+    for j in np.flatnonzero(~nonzero):
+        zero = SolverResult(np.zeros(n, dtype=np.complex128), 0, True, float(charge[j]), 0.0)
+        outcomes[j] = (zero, None)
+    while cols.size:
+        now = time.perf_counter()
+        charge[cols] += (now - mark) / cols.size
+        mark = now
+        converged = finite & (delta < config.epsilon)
+        stopped = converged | ~finite
+        if config.time_limit is not None:
+            stopped |= charge[cols] >= config.time_limit
+        if config.max_iter is not None and iterations >= config.max_iter:
+            stopped[:] = True
+        for j in np.flatnonzero(stopped):
+            if not finite[j]:
+                outcomes[cols[j]] = (None, iterations)
+                continue
+            x, gap = block.result(j)
+            result = SolverResult(
+                x=x,
+                iterations=iterations,
+                converged=bool(converged[j]),
+                elapsed=float(charge[cols[j]]),
+                final_delta=float(delta[j]),
+                admm_gap=gap,
+            )
+            outcomes[cols[j]] = (result, None)
+        if stopped.any():
+            keep = ~stopped
+            cols, y, residual = cols[keep], y[:, keep], residual[:, keep]
+            if not cols.size:
+                break
+            block.keep(keep)
+        residual_prev = residual
+        residual = y - a @ block.step(y)
+        delta = residual_delta(residual, residual_prev)
+        iterations += 1
+        finite = np.isfinite(delta) & np.isfinite(block.solution).all(axis=0)
+    return outcomes
+
+
+def _solve_pixel(y, dictionary, config, block_type):
+    """One pixel as a one-column block; raises NumericalFailure."""
+    _, y = _prep(y, dictionary)
+    ((result, failed_at),) = _solve_block(y[:, None], dictionary, config, block_type)
+    if result is None:
+        raise NumericalFailure(failed_at)
+    return result
+
+
 def fista(y, dictionary, config):
     """Accelerated proximal-gradient lasso solve."""
-    start = time.perf_counter()
-    a, y = _prep(y, dictionary)
-    n = a.shape[1]
-    if not y.any():
-        return _zero_result(n, start)
-    ah = a.conj().T
-    inv_l = 1.0 / dictionary.lipschitz
-    threshold = config.lam * inv_l
-    x = np.zeros(n, dtype=np.complex128)
-    z = x
-    t = 1.0
-    state = SolverState(residual=y)
-    while True:
-        decision = stop_check(state, config, time.perf_counter() - start)
-        if decision is not StopDecision.CONTINUE:
-            break
-        # 1. gradient step on the quadratic term at the extrapolated point
-        aux = z - inv_l * (ah @ (a @ z - y))
-        # 2. proximal shrinkage
-        x_new = soft_threshold(aux, threshold)
-        # 3. momentum weight update
-        t_new = _fista_momentum(t)
-        # 4. extrapolation
-        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, t = x_new, t_new
-        # 5. residual delta feeds the stop rule
-        state.residual_prev = state.residual
-        state.residual = y - a @ x
-        state.delta = residual_delta(state.residual, state.residual_prev)
-        state.iterations += 1
-        _check_finite(x, state.delta, state.iterations)
-    return SolverResult(
-        x=x,
-        iterations=state.iterations,
-        converged=decision is StopDecision.CONVERGED,
-        elapsed=time.perf_counter() - start,
-        final_delta=state.delta,
-    )
+    return _solve_pixel(y, dictionary, config, _FistaBlock)
 
 
 def admm(y, dictionary, config):
     """Scaled-dual alternating-direction lasso solve; returns the sparse
     iterate z."""
-    start = time.perf_counter()
-    a, y = _prep(y, dictionary)
-    n = a.shape[1]
-    if not y.any():
-        return _zero_result(n, start)
-    factor = dictionary.admm_factor(config.alpha)
-    aty = a.conj().T @ y
-    # prox threshold of the l1 term under the scaled dual: lam / alpha
-    threshold = config.lam / config.alpha
-    x = np.zeros(n, dtype=np.complex128)
-    z = np.zeros(n, dtype=np.complex128)
-    w = np.zeros(n, dtype=np.complex128)
-    state = SolverState(residual=y)
-    while True:
-        decision = stop_check(state, config, time.perf_counter() - start)
-        if decision is not StopDecision.CONTINUE:
-            break
-        # 1. quadratic solve through the cached factorization
-        x = scipy.linalg.cho_solve(factor, aty + config.alpha * (z - w))
-        # 2. shrinkage step
-        z = soft_threshold(x + w, threshold)
-        # 3. dual update
-        w = w + x - z
-        # 4. residual delta from the x iterate
-        state.residual_prev = state.residual
-        state.residual = y - a @ x
-        state.delta = residual_delta(state.residual, state.residual_prev)
-        state.iterations += 1
-        _check_finite(z, state.delta, state.iterations)
-    return SolverResult(
-        x=z.copy(),
-        iterations=state.iterations,
-        converged=decision is StopDecision.CONVERGED,
-        elapsed=time.perf_counter() - start,
-        final_delta=state.delta,
-        admm_gap=float(np.linalg.norm(x - z)),
-    )
+    return _solve_pixel(y, dictionary, config, _AdmmBlock)
 
 
 def gomp(y, dictionary, config):
@@ -419,9 +518,9 @@ CONVEX_SOLVERS = ("fista", "admm")
 GREEDY_SOLVERS = ("gomp", "biht", "cosamp")
 
 
-def derive_pixel_seed(run_seed, pixel_index):
-    """Stable per-pixel seed so results never depend on worker scheduling."""
-    return (run_seed * 6364136223846793005 + pixel_index * 1442695040888963407) % (2**63)
+# pixel columns one fista/admm block iteration solves together at most;
+# bounds the block's working arrays on a full-size scene
+TILE_PIXELS = 256
 
 
 @dataclass
@@ -430,7 +529,9 @@ class RecoveryStats:
 
     results holds one SolverResult per pixel in raster order (x-major),
     None where the solver failed numerically; failed_pixels lists those
-    (x, y, iteration) triples.
+    (x, y, iteration) triples.  recovery_time_s sums the per-pixel time
+    charges (SolverResult.elapsed) of the solved pixels: the wall time of
+    the solves when jobs == 1, a sum across workers when jobs > 1.
     """
 
     n_pixels: int
@@ -448,22 +549,29 @@ class RecoveryStats:
 
 
 _POOL = {}
+_BLOCK_TYPES = {"fista": _FistaBlock, "admm": _AdmmBlock}
 
 
 def _pool_init(dictionary, config, algorithm):
     _POOL["dictionary"] = dictionary
     _POOL["config"] = config
     _POOL["solver"] = SOLVERS[algorithm]
+    _POOL["block_type"] = _BLOCK_TYPES.get(algorithm)
 
 
 def _pool_solve(item):
     index, y = item
-    config = _POOL["config"]
-    pixel_config = replace(config, seed=derive_pixel_seed(config.seed, index))
     try:
-        return index, _POOL["solver"](y, _POOL["dictionary"], pixel_config), None
+        return index, _POOL["solver"](y, _POOL["dictionary"], _POOL["config"]), None
     except NumericalFailure as exc:
         return index, None, exc.iteration
+
+
+def _tile_solve(item):
+    """A tile of consecutive pixels as one block: [(index, result, failed_at)]."""
+    first, ys = item
+    outcomes = _solve_block(ys.T, _POOL["dictionary"], _POOL["config"], _POOL["block_type"])
+    return [(first + j, result, failed_at) for j, (result, failed_at) in enumerate(outcomes)]
 
 
 def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
@@ -471,9 +579,12 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
 
     Returns (sparse-domain cube of shape (x, y, n), RecoveryStats).  A pixel
     whose solver fails numerically is flagged and left at zero; the cube is
-    never aborted.  With jobs > 1 pixels are distributed over worker
-    processes; results are identical to the serial run because each pixel
-    is solved independently with a seed derived from its index.
+    never aborted.  fista and admm solve tiles of at most TILE_PIXELS
+    consecutive pixels as one block; the greedy solvers go pixel by pixel.
+    With jobs > 1 tiles or pixels are distributed over worker processes.
+    Every pixel keeps its own stop rule, so the iteration counts equal
+    those of per-pixel solver calls and the coefficients agree to
+    round-off; greedy results are identical.
     """
     if algorithm not in SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -491,12 +602,18 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
 
     n_pixels = x_dim * y_dim
     flat = meas.reshape(n_pixels, m)
-    results = [None] * n_pixels
-    failures = []
+    tiled = algorithm in _BLOCK_TYPES
+    if tiled:
+        # tiles of at most TILE_PIXELS, but at least one per worker
+        tile = max(1, min(TILE_PIXELS, -(-n_pixels // jobs)))
+        work, chunksize = _tile_solve, 1
+        items = ((i, flat[i : i + tile]) for i in range(0, n_pixels, tile))
+    else:
+        work, chunksize = _pool_solve, 8
+        items = ((i, flat[i]) for i in range(n_pixels))
     if jobs == 1:
         _pool_init(dictionary, config, algorithm)
-        outcomes = map(_pool_solve, ((i, flat[i]) for i in range(n_pixels)))
-        outcomes = list(outcomes)
+        outcomes = list(map(work, items))
         _POOL.clear()
     else:
         with ProcessPoolExecutor(
@@ -504,8 +621,12 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
             initializer=_pool_init,
             initargs=(dictionary, config, algorithm),
         ) as pool:
-            outcomes = list(pool.map(_pool_solve, ((i, flat[i]) for i in range(n_pixels)), chunksize=8))
+            outcomes = list(pool.map(work, items, chunksize=chunksize))
+    if tiled:
+        outcomes = itertools.chain.from_iterable(outcomes)
 
+    results = [None] * n_pixels
+    failures = []
     cube = np.zeros((x_dim, y_dim, dictionary.n), dtype=np.complex128)
     for index, result, failed_at in outcomes:
         ix, iy = divmod(index, y_dim)

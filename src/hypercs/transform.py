@@ -223,9 +223,9 @@ class Dictionary:
 
     lipschitz holds the power-iteration estimate of the largest eigenvalue
     of A^H A; for any row selection of a unitary basis it equals 1.  The
-    per-alpha factorizations used by the quadratic solve in ADMM are cached
-    here and should be built before handing the dictionary to worker
-    processes.
+    Cholesky factor of (A^H A + alpha I) that ADMM inverts is cached here
+    per alpha; recover_cube builds it before forking worker processes, so
+    every worker receives it with the dictionary.
     """
 
     matrix: np.ndarray

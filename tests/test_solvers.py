@@ -18,7 +18,7 @@ from hypercs import (
     recover_cube,
     stop_check,
 )
-from hypercs.solvers import SolverState, StopDecision, derive_pixel_seed
+from hypercs.solvers import SolverState, StopDecision
 
 from helpers import partial_fourier, planted_instance
 
@@ -241,14 +241,6 @@ class TestNumericalFailure:
         assert info.value.iteration == 1
 
 
-class TestPixelSeeds:
-    def test_deterministic_and_distinct(self):
-        assert derive_pixel_seed(3, 7) == derive_pixel_seed(3, 7)
-        seeds = {derive_pixel_seed(0, i) for i in range(100)}
-        assert len(seeds) == 100
-        assert all(0 <= s < 2**63 for s in seeds)
-
-
 class TestRecoverCube:
     @pytest.fixture
     def measured(self):
@@ -308,6 +300,43 @@ class TestRecoverCube:
         assert stats.results[1] is None
         np.testing.assert_array_equal(cube[0, 1], np.zeros(16))
         assert stats.n_converged == 5
+
+    @pytest.mark.parametrize("name", ["fista", "admm"])
+    def test_convex_tiles_match_per_pixel_solves(self, measured, name):
+        d, _, meas = measured
+        meas = meas.copy()
+        meas[0, 1] = 0.0
+        meas[1, 2, 0] = np.nan
+        cfg = SolverConfig(lam=0.05, time_limit=None, max_iter=5000)
+        cube, stats = recover_cube(meas, d, cfg, name)
+        assert stats.failed_pixels == [(1, 2, 1)]
+        assert stats.n_zero_pixels == 1
+        assert stats.n_converged == 5
+        for index, result in enumerate(stats.results):
+            ix, iy = divmod(index, 3)
+            if (ix, iy) == (1, 2):
+                assert result is None
+                with pytest.raises(NumericalFailure):
+                    SOLVERS[name](meas[ix, iy], d, cfg)
+                continue
+            single = SOLVERS[name](meas[ix, iy], d, cfg)
+            assert result.iterations == single.iterations
+            assert result.converged == single.converged
+            np.testing.assert_allclose(cube[ix, iy], single.x, rtol=0, atol=1e-12)
+
+    def test_admm_worker_tiles_match_the_serial_run(self, measured):
+        d, _, meas = measured
+        cfg = SolverConfig(lam=0.05, time_limit=None, max_iter=5000)
+        serial, stats1 = recover_cube(meas, d, cfg, "admm", jobs=1)
+        pooled, stats2 = recover_cube(meas, d, cfg, "admm", jobs=2)
+        np.testing.assert_allclose(pooled, serial, rtol=0, atol=1e-12)
+        assert [r.iterations for r in stats1.results] == [r.iterations for r in stats2.results]
+
+    @pytest.mark.parametrize("name", ["fista", "admm"])
+    def test_expired_budget_stops_every_pixel_of_a_tile(self, measured, name):
+        d, _, meas = measured
+        _, stats = recover_cube(meas, d, SolverConfig(lam=0.05, time_limit=1e-12), name)
+        assert all(r.iterations == 0 and not r.converged for r in stats.results)
 
     def test_zero_pixels_counted_separately(self):
         d = partial_fourier(8, 3, 0)
