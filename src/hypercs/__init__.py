@@ -23,7 +23,6 @@ from .metrics import (
     export_false_color,
     psnr,
     read_report,
-    summarize,
     write_report,
 )
 from .solvers import (
@@ -34,7 +33,6 @@ from .solvers import (
     RecoveryStats,
     SolverConfig,
     SolverResult,
-    StopDecision,
     admm,
     biht,
     cosamp,
@@ -78,7 +76,6 @@ __all__ = [
     "SolverConfig",
     "SolverResult",
     "SparsifyStats",
-    "StopDecision",
     "SummaryRow",
     "UndefinedMetricError",
     "admm",
@@ -111,7 +108,6 @@ __all__ = [
     "soft_threshold",
     "sparsify",
     "stop_check",
-    "summarize",
     "to_sparse_domain",
     "write_report",
 ]

@@ -28,6 +28,7 @@ from .metrics import (
     PEAK_CONVENTIONS,
     SummaryRow,
     export_false_color,
+    param_label,
     psnr,
     write_report,
 )
@@ -190,14 +191,10 @@ def run_recover(run_dir, algorithm, config, jobs, dataset=None):
     tag = _tag(algorithm, config)
     save_cube(recovered, run_dir / f"recovered_{tag}.hsc")
     _write_pixel_log(run_dir / f"pixels_{tag}.csv", stats, x_dim, y_dim)
-    if algorithm in CONVEX_SOLVERS:
-        label = f"λ={config.lam:g}"
-    else:
-        label = f"κ={config.kappa}"
     meta = {
         "dataset": dataset,
         "algorithm": algorithm,
-        "param_label": label,
+        "param_label": param_label(algorithm, config),
         "tag": tag,
         "n_pixels": stats.n_pixels,
         "n_converged": stats.n_converged,

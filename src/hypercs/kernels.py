@@ -22,10 +22,7 @@ def soft_threshold(v, t):
     v = np.asarray(v)
     mags = np.abs(v)
     shrunk = np.maximum(mags - t, 0.0)
-    scale = np.zeros_like(mags)
-    nz = mags > 0
-    scale[nz] = shrunk[nz] / mags[nz]
-    return v * scale
+    return v * np.divide(shrunk, mags, out=np.zeros_like(mags), where=mags > 0)
 
 
 def argmax_k(v, k):

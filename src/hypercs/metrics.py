@@ -93,29 +93,6 @@ def param_label(algorithm, config):
     return f"κ={config.kappa}"
 
 
-def summarize(dataset, algorithm, config, stats, psnr_db):
-    """Fold one cube recovery into a SummaryRow.
-
-    Sanity gate: a run cannot claim converged pixels with zero total
-    iterations unless every converged pixel was an all-zero shortcut.
-    """
-    if (
-        stats.n_converged > 0
-        and stats.total_iterations == 0
-        and stats.n_converged > stats.n_zero_pixels
-    ):
-        raise ValueError("impossible aggregate: converged pixels but no iterations")
-    return SummaryRow(
-        dataset=dataset,
-        algorithm=algorithm,
-        param_label=param_label(algorithm, config),
-        psnr_db=psnr_db,
-        total_iterations=stats.total_iterations,
-        convergence_pct=stats.convergence_pct,
-        recovery_time_s=stats.recovery_time_s,
-    )
-
-
 def _format_psnr(value):
     return IDENTICAL if math.isinf(value) else f"{value:.4f}"
 

@@ -9,16 +9,16 @@ out, or an iteration cap is hit; the distance starts at 1 so every solver
 performs at least one iteration (except for y = 0, which short-circuits to
 the zero vector).
 
-fista and admm minimize the lasso objective
+One loop, _solve_block, iterates every solver on a block of pixel columns
+sharing A, a single pixel being a one-column block; each solver supplies
+the step.  fista and admm minimize the lasso objective
     H(x) = 0.5 * ||A x - y||^2 + lam * ||x||_1
-with one loop that iterates on a block of pixel columns sharing A, a single
-pixel being a one-column block; gomp, biht and cosamp greedily build a
-support of at most kappa atoms, pixel by pixel.
-Solvers draw no randomness, so results are reproducible bit for bit when
+with block products; gomp, biht and cosamp greedily build a support of at
+most kappa atoms per column, each column with its own matrix-vector
+products.  Solvers draw no randomness, so results are reproducible bit for bit when
 the time budget is disabled.
 """
 
-import enum
 import itertools
 import math
 import os
@@ -53,8 +53,9 @@ class SolverConfig:
                    which is always a candidate
     alpha          quadratic penalty of admm
     epsilon        residual-delta convergence threshold
-    time_limit     per-pixel time budget in seconds, None disables it; in
-                   a fista/admm block it bounds the pixel's time charge
+    time_limit     per-pixel time budget in seconds, None disables it; it
+                   bounds the pixel's time charge, an equal share of its
+                   block's wall time
     max_iter       iteration cap, None means unlimited
     seed           reproducibility record; the solvers themselves draw no
                    randomness
@@ -101,36 +102,24 @@ class SolverResult:
     admm_gap: float | None = None  # ||x - z|| at termination, admm only
 
 
-class StopDecision(enum.Enum):
-    CONTINUE = "continue"
-    CONVERGED = "converged"
-    TIMEOUT = "timeout"
-    ITER_CAP = "iter_cap"
+def stop_check(delta, charge, iterations, config):
+    """Stop rule shared by every solver, applied column by column before
+    each iteration of a block.
 
-
-@dataclass
-class SolverState:
-    """Residual bookkeeping consulted by the stop rule."""
-
-    residual: np.ndarray
-    residual_prev: np.ndarray | None = None
-    delta: float = 1.0
-    iterations: int = 0
-
-
-def stop_check(state, config, elapsed):
-    """Stop rule shared by every solver, checked before each iteration.
-
-    Convergence (delta < epsilon, strictly) wins over the time budget,
-    which wins over the iteration cap.
+    delta and charge are the columns' residual deltas and time charges,
+    iterations the count every column of the block has completed.  Returns
+    the boolean arrays (converged, stopped): a column stops when it
+    converged (delta < epsilon, strictly), else when its charge reached the
+    time budget, else at the iteration cap; only the first counts as
+    converged.
     """
-    if state.delta < config.epsilon:
-        return StopDecision.CONVERGED
-    if config.time_limit is not None and elapsed >= config.time_limit:
-        return StopDecision.TIMEOUT
-    if config.max_iter is not None and state.iterations >= config.max_iter:
-        return StopDecision.ITER_CAP
-    return StopDecision.CONTINUE
+    converged = delta < config.epsilon
+    stopped = converged.copy()
+    if config.time_limit is not None:
+        stopped |= charge >= config.time_limit
+    if config.max_iter is not None and iterations >= config.max_iter:
+        stopped[:] = True
+    return converged, stopped
 
 
 def lasso_objective(x, y, dictionary, lam):
@@ -138,29 +127,6 @@ def lasso_objective(x, y, dictionary, lam):
     matrix = dictionary.matrix if hasattr(dictionary, "matrix") else np.asarray(dictionary)
     r = matrix @ x - y
     return 0.5 * float(np.real(np.vdot(r, r))) + lam * float(np.abs(x).sum())
-
-
-def _prep(y, dictionary):
-    a = dictionary.matrix
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (a.shape[0],):
-        raise ValueError(f"measurement length {y.shape} does not match {a.shape[0]} rows")
-    return a, y
-
-
-def _zero_result(n, start):
-    return SolverResult(
-        x=np.zeros(n, dtype=np.complex128),
-        iterations=0,
-        converged=True,
-        elapsed=time.perf_counter() - start,
-        final_delta=0.0,
-    )
-
-
-def _check_finite(x, delta, iteration):
-    if not (math.isfinite(delta) and np.isfinite(x).all()):
-        raise NumericalFailure(iteration)
 
 
 def _fista_momentum(t):
@@ -183,9 +149,9 @@ class _FistaBlock:
         self.z = self.x
         self.t = 1.0
 
-    def step(self, y):
-        """One iteration; returns the iterate whose residual feeds the stop
-        rule."""
+    def step(self, y, residual):
+        """One iteration; returns the residual of the new iterate and the
+        columns that halted (none)."""
         # 1. gradient step on the quadratic term at the extrapolated point
         aux = self.z - self.inv_l * (self.ah @ (self.a @ self.z - y))
         # 2. proximal shrinkage
@@ -195,7 +161,7 @@ class _FistaBlock:
         # 4. extrapolation
         self.z = x_new + ((self.t - 1.0) / t_new) * (x_new - self.x)
         self.x, self.t = x_new, t_new
-        return self.x
+        return y - self.a @ self.x, np.zeros(y.shape[1], dtype=bool)
 
     @property
     def solution(self):
@@ -224,6 +190,7 @@ class _AdmmBlock:
         inv = scipy.linalg.cho_solve(
             dictionary.admm_factor(config.alpha), np.eye(n, dtype=np.complex128)
         )
+        self.a = a
         self.b = inv @ (a.conj().T @ y)
         self.inv = inv
         self.alpha = config.alpha
@@ -233,16 +200,17 @@ class _AdmmBlock:
         self.z = np.zeros_like(self.x)
         self.w = np.zeros_like(self.x)
 
-    def step(self, y):
-        """One iteration; returns the x iterate, whose residual feeds the stop
-        rule.  The solution is the sparse iterate z."""
+    def step(self, y, residual):
+        """One iteration; returns the residual of the x iterate, which feeds
+        the stop rule, and the columns that halted (none).  The solution is
+        the sparse iterate z."""
         # 1. quadratic solve through the inverse of the cached factorization
         self.x = self.b + self.alpha * (self.inv @ (self.z - self.w))
         # 2. shrinkage step
         self.z = soft_threshold(self.x + self.w, self.threshold)
         # 3. dual update
         self.w = self.w + self.x - self.z
-        return self.x
+        return y - self.a @ self.x, np.zeros(y.shape[1], dtype=bool)
 
     @property
     def solution(self):
@@ -258,18 +226,149 @@ class _AdmmBlock:
         return self.z[:, j].copy(), float(np.linalg.norm(self.x[:, j] - self.z[:, j]))
 
 
+class _GreedyBlock:
+    """Greedy pursuit on an (n, k) block of pixel columns.
+
+    Each column keeps its own support and iterate and runs its solver's
+    per-pixel update with matrix-vector products, so a column computes in a
+    block exactly what it computes alone.  A column whose candidate support
+    outgrows the m measurements halts and keeps its last iterate.
+    Subclasses pick the candidates and may override the fit.
+    """
+
+    def __init__(self, a, y, dictionary, config):
+        self.check(config, *a.shape)
+        self.a = a
+        self.ah = a.conj().T
+        self.config = config
+        self.x = np.zeros((a.shape[1], y.shape[1]), dtype=np.complex128)
+        self.supports = [np.empty(0, dtype=np.intp)] * y.shape[1]
+
+    def step(self, y, residual):
+        """One iteration on every column; returns the new residuals and the
+        columns that halted, whose iterate and residual stay as they were."""
+        residual = residual.copy()
+        halted = np.zeros(y.shape[1], dtype=bool)
+        for j in range(y.shape[1]):
+            y_j = y[:, j].copy()
+            support = self.candidates(j, self.ah @ residual[:, j].copy())
+            if support.size > self.a.shape[0]:
+                halted[j] = True
+                continue
+            x, self.supports[j] = self.fit(support, y_j)
+            self.x[:, j] = x
+            residual[:, j] = y_j - self.a @ x
+        return residual, halted
+
+    def fit(self, support, y):
+        """Least squares on the candidates, pruned to the kappa strongest
+        entries: (iterate, kept support)."""
+        s = least_squares(self.a[:, support], y)
+        keep = argmax_k(s, min(self.config.kappa, s.size))
+        x = np.zeros(self.a.shape[1], dtype=np.complex128)
+        x[support[keep]] = s[keep]
+        return x, support[keep]
+
+    @property
+    def solution(self):
+        return self.x
+
+    def keep(self, cols):
+        self.x = self.x[:, cols]
+        self.supports = [self.supports[j] for j in np.flatnonzero(cols)]
+
+    def result(self, j):
+        """(solution, admm_gap) of active column j."""
+        return self.x[:, j].copy(), None
+
+
+class _GompBlock(_GreedyBlock):
+    """Generalized orthogonal matching pursuit with a kappa-prune re-solve.
+
+    Grows the accumulated support by the atoms_per_iter strongest residual
+    projections each iteration, then re-fits on the kappa strongest entries
+    of the scattered least-squares solution.
+    """
+
+    @staticmethod
+    def check(config, m, n):
+        if not config.atoms_per_iter <= config.kappa <= m:
+            raise ValueError(f"need atoms_per_iter <= kappa <= {m}")
+
+    def candidates(self, j, p):
+        # 1. strongest residual projections extend the accumulated support
+        return np.union1d(self.supports[j], argmax_k(p, self.config.atoms_per_iter))
+
+    def fit(self, support, y):
+        n = self.a.shape[1]
+        # 2. least squares on the accumulated atoms
+        x = np.zeros(n, dtype=np.complex128)
+        x[support] = least_squares(self.a[:, support], y)
+        # 3. prune to the kappa strongest entries and re-fit on those
+        top = argmax_k(x, self.config.kappa)
+        x = np.zeros(n, dtype=np.complex128)
+        x[top] = least_squares(self.a[:, top], y)
+        return x, support
+
+
+class _BihtBlock(_GreedyBlock):
+    """Iterative hard thresholding with a least-squares backtracking prune.
+
+    Each iteration takes the candidate set as the kappa largest entries of
+    the gradient step x + mu * A^H r, joined with the current support and
+    the strongest residual projection argmax |A^H r|.  That last atom keeps
+    the support moving whenever the residual is nonzero, whatever mu is;
+    mu scales how many more atoms the gradient step admits.  Least squares
+    on the candidates is pruned back to the kappa strongest entries.
+    """
+
+    @staticmethod
+    def check(config, m, n):
+        if config.kappa > m:
+            raise ValueError(f"kappa must be <= {m}")
+
+    def candidates(self, j, g):
+        # 1. top entries of the gradient step + current support + the
+        #    strongest residual projection
+        x = self.x[:, j]
+        u = x + self.config.mu * g
+        return np.unique(
+            np.concatenate((argmax_k(u, self.config.kappa), np.flatnonzero(x), argmax_k(g, 1)))
+        )
+
+
+class _CosampBlock(_GreedyBlock):
+    """Compressive sampling matching pursuit (Needell & Tropp 2009).
+
+    The candidate set joins the 2*kappa strongest residual projections with
+    the support kept after the previous prune.
+    """
+
+    @staticmethod
+    def check(config, m, n):
+        if 2 * config.kappa > n:
+            raise ValueError(f"need 2 * kappa <= {n}")
+        if config.kappa > m:
+            raise ValueError(f"kappa must be <= {m}")
+
+    def candidates(self, j, p):
+        return np.union1d(self.supports[j], argmax_k(p, 2 * self.config.kappa))
+
+
 def _solve_block(ys, dictionary, config, block_type):
     """Solve the pixel columns of an (m, k) measurement block together.
 
     Returns one (SolverResult, None) per column, or (None, iteration) for a
-    column whose iterate or delta turned non-finite at that iteration.  The
-    stop rule is stop_check's, column by column: a column stops when its
-    delta drops below epsilon, else when its time charge reaches the
-    budget, else at the iteration cap; stopped columns leave the block.
-    Each column is charged an equal share of the block's set-up and of
-    every iteration it takes part in, so the charges of a solve sum to its
-    wall time and a single column is charged its wall time.  All-zero
-    columns short-circuit to the zero vector with 0 iterations.
+    column whose iterate or delta turned non-finite at that iteration.
+    Before each iteration stop_check's rule stops a column when its delta
+    drops below epsilon, else when its time charge reaches the budget,
+    else at the iteration cap; a greedy column whose support outgrew the
+    measurements stops unconverged with its last completed iteration.
+    Stopped columns leave the block.  Each column is charged an equal share
+    of the block's set-up and of every iteration it takes part in, so the
+    charges of a solve sum to its wall time and a single column is charged
+    its wall time.  All-zero columns short-circuit to the zero vector with
+    0 iterations, after the block type has validated the config.
     """
     start = time.perf_counter()
     a = dictionary.matrix
@@ -278,10 +377,11 @@ def _solve_block(ys, dictionary, config, block_type):
     nonzero = ys.any(axis=0)
     cols = np.flatnonzero(nonzero)  # block column of each active column
     y = ys[:, cols]
-    block = block_type(a, y, dictionary, config) if cols.size else None
+    block = block_type(a, y, dictionary, config)
     residual = y
     delta = np.ones(cols.size)  # starts at 1: at least one iteration
     finite = np.ones(cols.size, dtype=bool)
+    halted = np.zeros(cols.size, dtype=bool)
     iterations = 0
     mark = time.perf_counter()
     charge = np.full(k, (mark - start) / k)
@@ -292,12 +392,8 @@ def _solve_block(ys, dictionary, config, block_type):
         now = time.perf_counter()
         charge[cols] += (now - mark) / cols.size
         mark = now
-        converged = finite & (delta < config.epsilon)
-        stopped = converged | ~finite
-        if config.time_limit is not None:
-            stopped |= charge[cols] >= config.time_limit
-        if config.max_iter is not None and iterations >= config.max_iter:
-            stopped[:] = True
+        converged, stopped = stop_check(delta, charge[cols], iterations, config)
+        stopped |= halted | ~finite
         for j in np.flatnonzero(stopped):
             if not finite[j]:
                 outcomes[cols[j]] = (None, iterations)
@@ -305,7 +401,7 @@ def _solve_block(ys, dictionary, config, block_type):
             x, gap = block.result(j)
             result = SolverResult(
                 x=x,
-                iterations=iterations,
+                iterations=iterations - int(halted[j]),
                 converged=bool(converged[j]),
                 elapsed=float(charge[cols[j]]),
                 final_delta=float(delta[j]),
@@ -314,13 +410,14 @@ def _solve_block(ys, dictionary, config, block_type):
             outcomes[cols[j]] = (result, None)
         if stopped.any():
             keep = ~stopped
-            cols, y, residual = cols[keep], y[:, keep], residual[:, keep]
+            cols, y, residual, delta = cols[keep], y[:, keep], residual[:, keep], delta[keep]
             if not cols.size:
                 break
             block.keep(keep)
         residual_prev = residual
-        residual = y - a @ block.step(y)
-        delta = residual_delta(residual, residual_prev)
+        residual, halted = block.step(y, residual)
+        # a halted column keeps the delta of its last completed iteration
+        delta = np.where(halted, delta, residual_delta(residual, residual_prev))
         iterations += 1
         finite = np.isfinite(delta) & np.isfinite(block.solution).all(axis=0)
     return outcomes
@@ -328,7 +425,9 @@ def _solve_block(ys, dictionary, config, block_type):
 
 def _solve_pixel(y, dictionary, config, block_type):
     """One pixel as a one-column block; raises NumericalFailure."""
-    _, y = _prep(y, dictionary)
+    y = np.asarray(y, dtype=np.complex128)
+    if y.shape != (dictionary.m,):
+        raise ValueError(f"measurement length {y.shape} does not match {dictionary.m} rows")
     ((result, failed_at),) = _solve_block(y[:, None], dictionary, config, block_type)
     if result is None:
         raise NumericalFailure(failed_at)
@@ -347,164 +446,19 @@ def admm(y, dictionary, config):
 
 
 def gomp(y, dictionary, config):
-    """Generalized orthogonal matching pursuit with a kappa-prune re-solve.
-
-    Grows the accumulated support by the atoms_per_iter strongest residual
-    projections each iteration, then re-fits on the kappa strongest entries
-    of the scattered least-squares solution.
-    """
-    start = time.perf_counter()
-    a, y = _prep(y, dictionary)
-    m, n = a.shape
-    kappa = config.kappa
-    if not config.atoms_per_iter <= kappa <= m:
-        raise ValueError(f"need atoms_per_iter <= kappa <= {m}")
-    if not y.any():
-        return _zero_result(n, start)
-    ah = a.conj().T
-    support = np.empty(0, dtype=np.intp)
-    x = np.zeros(n, dtype=np.complex128)
-    state = SolverState(residual=y.copy())
-    while True:
-        decision = stop_check(state, config, time.perf_counter() - start)
-        if decision is not StopDecision.CONTINUE:
-            break
-        # 1. strongest residual projections extend the accumulated support
-        p = ah @ state.residual
-        support = np.union1d(support, argmax_k(p, config.atoms_per_iter))
-        if support.size > m:
-            # support outgrew the measurement count: keep the last iterate
-            break
-        # 2. least squares on the accumulated atoms
-        s = least_squares(a[:, support], y)
-        # 3. prune to the kappa strongest entries and re-fit on those
-        x = np.zeros(n, dtype=np.complex128)
-        x[support] = s
-        top = argmax_k(x, kappa)
-        x = np.zeros(n, dtype=np.complex128)
-        x[top] = least_squares(a[:, top], y)
-        # 4. residual delta
-        state.residual_prev = state.residual
-        state.residual = y - a @ x
-        state.delta = residual_delta(state.residual, state.residual_prev)
-        state.iterations += 1
-        _check_finite(x, state.delta, state.iterations)
-    return SolverResult(
-        x=x,
-        iterations=state.iterations,
-        converged=decision is StopDecision.CONVERGED,
-        elapsed=time.perf_counter() - start,
-        final_delta=state.delta,
-    )
+    """Generalized orthogonal matching pursuit; see _GompBlock."""
+    return _solve_pixel(y, dictionary, config, _GompBlock)
 
 
 def biht(y, dictionary, config):
-    """Iterative hard thresholding with a least-squares backtracking prune.
-
-    Each iteration takes the candidate set as the kappa largest entries of
-    the gradient step x + mu * A^H r, joined with the current support and
-    the strongest residual projection argmax |A^H r|.  That last atom keeps
-    the support moving whenever the residual is nonzero, whatever mu is;
-    mu scales how many more atoms the gradient step admits.  Least squares
-    on the candidates is pruned back to the kappa strongest entries.
-    """
-    start = time.perf_counter()
-    a, y = _prep(y, dictionary)
-    m, n = a.shape
-    kappa = config.kappa
-    if kappa > m:
-        raise ValueError(f"kappa must be <= {m}")
-    if not y.any():
-        return _zero_result(n, start)
-    ah = a.conj().T
-    x = np.zeros(n, dtype=np.complex128)
-    state = SolverState(residual=y.copy())
-    while True:
-        decision = stop_check(state, config, time.perf_counter() - start)
-        if decision is not StopDecision.CONTINUE:
-            break
-        # 1. candidates: top entries of the gradient step + current support
-        #    + the strongest residual projection
-        g = ah @ state.residual
-        u = x + config.mu * g
-        support = np.unique(
-            np.concatenate((argmax_k(u, kappa), np.flatnonzero(x), argmax_k(g, 1)))
-        )
-        if support.size > m:
-            break
-        # 2. least squares on the candidates
-        s = least_squares(a[:, support], y)
-        # 3. keep the kappa strongest entries of s, zero the rest
-        keep = argmax_k(s, min(kappa, s.size))
-        pruned = np.zeros_like(s)
-        pruned[keep] = s[keep]
-        x = np.zeros(n, dtype=np.complex128)
-        x[support] = pruned
-        # 4. residual delta
-        state.residual_prev = state.residual
-        state.residual = y - a @ x
-        state.delta = residual_delta(state.residual, state.residual_prev)
-        state.iterations += 1
-        _check_finite(x, state.delta, state.iterations)
-    return SolverResult(
-        x=x,
-        iterations=state.iterations,
-        converged=decision is StopDecision.CONVERGED,
-        elapsed=time.perf_counter() - start,
-        final_delta=state.delta,
-    )
+    """Iterative hard thresholding with a least-squares prune; see
+    _BihtBlock."""
+    return _solve_pixel(y, dictionary, config, _BihtBlock)
 
 
 def cosamp(y, dictionary, config):
-    """Compressive sampling matching pursuit.
-
-    The candidate set joins the 2*kappa strongest residual projections with
-    the support kept after the previous prune.
-    """
-    start = time.perf_counter()
-    a, y = _prep(y, dictionary)
-    m, n = a.shape
-    kappa = config.kappa
-    if 2 * kappa > n:
-        raise ValueError(f"need 2 * kappa <= {n}")
-    if kappa > m:
-        raise ValueError(f"kappa must be <= {m}")
-    if not y.any():
-        return _zero_result(n, start)
-    ah = a.conj().T
-    support = np.empty(0, dtype=np.intp)
-    x = np.zeros(n, dtype=np.complex128)
-    state = SolverState(residual=y.copy())
-    while True:
-        decision = stop_check(state, config, time.perf_counter() - start)
-        if decision is not StopDecision.CONTINUE:
-            break
-        # 1. candidate set: 2*kappa strongest projections + kept support
-        p = ah @ state.residual
-        support = np.union1d(support, argmax_k(p, 2 * kappa))
-        if support.size > m:
-            break
-        # 2. least squares on the candidates
-        s = least_squares(a[:, support], y)
-        # 3. prune values and support to the kappa strongest
-        keep = argmax_k(s, min(kappa, s.size))
-        support = support[keep]
-        s = s[keep]
-        x = np.zeros(n, dtype=np.complex128)
-        x[support] = s
-        # 4. residual delta
-        state.residual_prev = state.residual
-        state.residual = y - a @ x
-        state.delta = residual_delta(state.residual, state.residual_prev)
-        state.iterations += 1
-        _check_finite(x, state.delta, state.iterations)
-    return SolverResult(
-        x=x,
-        iterations=state.iterations,
-        converged=decision is StopDecision.CONVERGED,
-        elapsed=time.perf_counter() - start,
-        final_delta=state.delta,
-    )
+    """Compressive sampling matching pursuit; see _CosampBlock."""
+    return _solve_pixel(y, dictionary, config, _CosampBlock)
 
 
 SOLVERS = {
@@ -518,7 +472,7 @@ CONVEX_SOLVERS = ("fista", "admm")
 GREEDY_SOLVERS = ("gomp", "biht", "cosamp")
 
 
-# pixel columns one fista/admm block iteration solves together at most;
+# pixel columns one block iteration solves together at most;
 # bounds the block's working arrays on a full-size scene
 TILE_PIXELS = 256
 
@@ -549,22 +503,19 @@ class RecoveryStats:
 
 
 _POOL = {}
-_BLOCK_TYPES = {"fista": _FistaBlock, "admm": _AdmmBlock}
+_BLOCK_TYPES = {
+    "fista": _FistaBlock,
+    "admm": _AdmmBlock,
+    "gomp": _GompBlock,
+    "biht": _BihtBlock,
+    "cosamp": _CosampBlock,
+}
 
 
 def _pool_init(dictionary, config, algorithm):
     _POOL["dictionary"] = dictionary
     _POOL["config"] = config
-    _POOL["solver"] = SOLVERS[algorithm]
-    _POOL["block_type"] = _BLOCK_TYPES.get(algorithm)
-
-
-def _pool_solve(item):
-    index, y = item
-    try:
-        return index, _POOL["solver"](y, _POOL["dictionary"], _POOL["config"]), None
-    except NumericalFailure as exc:
-        return index, None, exc.iteration
+    _POOL["block_type"] = _BLOCK_TYPES[algorithm]
 
 
 def _tile_solve(item):
@@ -579,12 +530,11 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
 
     Returns (sparse-domain cube of shape (x, y, n), RecoveryStats).  A pixel
     whose solver fails numerically is flagged and left at zero; the cube is
-    never aborted.  fista and admm solve tiles of at most TILE_PIXELS
-    consecutive pixels as one block; the greedy solvers go pixel by pixel.
-    With jobs > 1 tiles or pixels are distributed over worker processes.
-    Every pixel keeps its own stop rule, so the iteration counts equal
-    those of per-pixel solver calls and the coefficients agree to
-    round-off; greedy results are identical.
+    never aborted.  Every solver solves tiles of at most TILE_PIXELS
+    consecutive pixels as one block; with jobs > 1 the tiles are
+    distributed over worker processes.  Every pixel keeps its own stop
+    rule, so the iteration counts equal those of per-pixel solver calls;
+    greedy coefficients are identical and convex ones agree to round-off.
     """
     if algorithm not in SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -602,18 +552,12 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
 
     n_pixels = x_dim * y_dim
     flat = meas.reshape(n_pixels, m)
-    tiled = algorithm in _BLOCK_TYPES
-    if tiled:
-        # tiles of at most TILE_PIXELS, but at least one per worker
-        tile = max(1, min(TILE_PIXELS, -(-n_pixels // jobs)))
-        work, chunksize = _tile_solve, 1
-        items = ((i, flat[i : i + tile]) for i in range(0, n_pixels, tile))
-    else:
-        work, chunksize = _pool_solve, 8
-        items = ((i, flat[i]) for i in range(n_pixels))
+    # tiles of at most TILE_PIXELS, but at least one per worker
+    tile = max(1, min(TILE_PIXELS, -(-n_pixels // jobs)))
+    items = ((i, flat[i : i + tile]) for i in range(0, n_pixels, tile))
     if jobs == 1:
         _pool_init(dictionary, config, algorithm)
-        outcomes = list(map(work, items))
+        outcomes = list(map(_tile_solve, items))
         _POOL.clear()
     else:
         with ProcessPoolExecutor(
@@ -621,14 +565,12 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
             initializer=_pool_init,
             initargs=(dictionary, config, algorithm),
         ) as pool:
-            outcomes = list(pool.map(work, items, chunksize=chunksize))
-    if tiled:
-        outcomes = itertools.chain.from_iterable(outcomes)
+            outcomes = list(pool.map(_tile_solve, items))
 
     results = [None] * n_pixels
     failures = []
     cube = np.zeros((x_dim, y_dim, dictionary.n), dtype=np.complex128)
-    for index, result, failed_at in outcomes:
+    for index, result, failed_at in itertools.chain.from_iterable(outcomes):
         ix, iy = divmod(index, y_dim)
         if result is None:
             failures.append((ix, iy, failed_at))

@@ -196,6 +196,25 @@ class TestReport:
         meta_path.write_text(json.dumps(meta))
         assert main(["report", "--input", str(run_dir)]) == EXIT_IO
 
+    def doctored_report(self, cube_file, tmp_path, converged_nonzero):
+        """Exit code of report on a gomp record doctored to 0 iterations, of
+        whose converged pixels converged_nonzero are not all-zero ones."""
+        run_dir = tmp_path / "run"
+        run_stages(cube_file, run_dir, "--algo", "gomp", "--kappa", "2")
+        meta_path = run_dir / "run_gomp_kappa2.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["n_converged"] > 1
+        meta["total_iterations"] = 0
+        meta["n_zero_pixels"] = meta["n_converged"] - converged_nonzero
+        meta_path.write_text(json.dumps(meta))
+        return main(["report", "--input", str(run_dir)])
+
+    def test_rejects_converged_runs_without_iterations(self, cube_file, tmp_path):
+        assert self.doctored_report(cube_file, tmp_path, converged_nonzero=1) == EXIT_IO
+
+    def test_allows_all_zero_shortcut_pixels(self, cube_file, tmp_path):
+        assert self.doctored_report(cube_file, tmp_path, converged_nonzero=0) == EXIT_OK
+
     def test_truncated_record_is_an_error(self, cube_file, tmp_path):
         run_dir = tmp_path / "run"
         run_stages(cube_file, run_dir, "--algo", "gomp", "--kappa", "2")

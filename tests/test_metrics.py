@@ -13,11 +13,10 @@ from hypercs import (
     export_false_color,
     psnr,
     read_report,
-    summarize,
     write_report,
 )
 from hypercs.metrics import REPORT_COMMENT, param_label
-from hypercs.solvers import RecoveryStats, SolverConfig, SolverResult
+from hypercs.solvers import SolverConfig, SolverResult
 
 
 def cube(values):
@@ -81,36 +80,6 @@ class TestSummaryRow:
         assert param_label("fista", SolverConfig(lam=0.1)) == "λ=0.1"
         assert param_label("admm", SolverConfig(lam=100.0)) == "λ=100"
         assert param_label("gomp", SolverConfig(kappa=4)) == "κ=4"
-
-
-def stats(n_converged=5, total_iterations=50, n_zero=0):
-    return RecoveryStats(
-        n_pixels=5,
-        n_converged=n_converged,
-        n_failed=0,
-        n_zero_pixels=n_zero,
-        total_iterations=total_iterations,
-        recovery_time_s=1.5,
-    )
-
-
-class TestSummarize:
-    def test_builds_a_row(self):
-        row = summarize("demo", "gomp", SolverConfig(kappa=3), stats(), 41.0)
-        assert row.algorithm == "gomp"
-        assert row.param_label == "κ=3"
-        assert row.total_iterations == 50
-        assert row.convergence_pct == pytest.approx(100.0)
-
-    def test_rejects_converged_runs_without_iterations(self):
-        with pytest.raises(ValueError):
-            summarize("demo", "gomp", SolverConfig(kappa=3), stats(total_iterations=0), 41.0)
-
-    def test_allows_all_zero_shortcut_pixels(self):
-        row = summarize(
-            "demo", "gomp", SolverConfig(kappa=3), stats(total_iterations=0, n_zero=5), 41.0
-        )
-        assert row.total_iterations == 0
 
 
 class TestReportFile:
