@@ -15,7 +15,7 @@ from .cube import (
     load_cube,
     save_cube,
 )
-from .kernels import argmax_k, gather_columns, least_squares, residual_delta, soft_threshold
+from .kernels import argmax_k, gram_least_squares, least_squares, residual_delta, soft_threshold
 from .metrics import (
     SummaryRow,
     UndefinedMetricError,
@@ -90,9 +90,9 @@ __all__ = [
     "extract_pixel",
     "fista",
     "from_sparse_domain",
-    "gather_columns",
     "generate_synthetic_cube",
     "gomp",
+    "gram_least_squares",
     "lasso_objective",
     "least_squares",
     "lipschitz_constant",

@@ -9,6 +9,10 @@ import scipy.linalg
 
 # numerical rank cutoff, relative to the largest singular value
 RANK_RTOL = 1e-10
+# smallest accepted ratio of the smallest to the largest diagonal entry of
+# gram_least_squares' Cholesky factor; full-rank greedy supports sit above
+# 0.08 and supports that least_squares finds rank deficient below 1e-7
+GRAM_RTOL = 1e-5
 
 
 def soft_threshold(v, t):
@@ -44,6 +48,7 @@ def least_squares(b, y):
     Full-rank systems go through a column-pivoted QR solve; if the numerical
     rank drops below k the SVD-based minimum-norm solution is returned
     instead (rank cutoff RANK_RTOL relative to the largest diagonal of R).
+    Non-finite input returns all-NaN values instead of raising.
     """
     b = np.asarray(b)
     y = np.asarray(y)
@@ -52,6 +57,9 @@ def least_squares(b, y):
     if y.shape != (b.shape[0],):
         raise ValueError("right-hand side length does not match the matrix")
     k = b.shape[1]
+    if not (np.isfinite(b).all() and np.isfinite(y).all()):
+        # non-finite input gives a non-finite solution for the caller to flag
+        return np.full(k, np.nan, dtype=np.result_type(b, y, 1.0))
     q, r, piv = scipy.linalg.qr(b, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     if b.shape[0] >= k and diag.size == k and diag.min() > RANK_RTOL * diag.max():
@@ -62,6 +70,28 @@ def least_squares(b, y):
     # rank deficient (or underdetermined): minimum-norm solution
     s, *_ = scipy.linalg.lstsq(b, y, cond=RANK_RTOL, lapack_driver="gelsd")
     return s
+
+
+def gram_least_squares(b, gram, y):
+    """Solve min_s ||b s - y||_2 through the normal equations, gram = b^H b.
+
+    gram is Cholesky-factored and gram s = b^H y solved; one correction on
+    the true residual, s += gram^-1 b^H (y - b s), brings the result to the
+    accuracy of the QR solve (corrected semi-normal equations, Bjorck 1987).
+    Returns None when gram is not numerically positive definite (the
+    factorization fails, or its smallest diagonal entry is at most GRAM_RTOL
+    times its largest); least_squares then solves the system.  A non-finite
+    y gives a non-finite s without raising.
+    """
+    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (b, y))
+    factor, info = potrf(gram)
+    diag = factor.diagonal().real
+    if info != 0 or diag.min() <= GRAM_RTOL * diag.max():
+        return None
+    bh = b.conj().T
+    s, _ = potrs(factor, bh @ y)
+    correction, _ = potrs(factor, bh @ (y - b @ s))
+    return s + correction
 
 
 def residual_delta(r, r_prev):
@@ -77,12 +107,3 @@ def residual_delta(r, r_prev):
     if r.ndim == 2:
         return np.linalg.norm(r - r_prev, axis=0)
     return float(np.linalg.norm(r - r_prev))
-
-
-def gather_columns(a, support):
-    """Columns of a (a matrix or anything with a .matrix) at the support indexes."""
-    matrix = a.matrix if hasattr(a, "matrix") else np.asarray(a)
-    support = np.asarray(support, dtype=np.intp)
-    if support.size and (support.min() < 0 or support.max() >= matrix.shape[1]):
-        raise IndexError("support index out of range")
-    return matrix[:, support]

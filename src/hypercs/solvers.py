@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .kernels import argmax_k, least_squares, residual_delta, soft_threshold
+from .kernels import argmax_k, gram_least_squares, least_squares, residual_delta, soft_threshold
 
 
 class NumericalFailure(RuntimeError):
@@ -240,6 +240,7 @@ class _GreedyBlock:
         self.check(config, *a.shape)
         self.a = a
         self.ah = a.conj().T
+        self.gram = dictionary.gram
         self.config = config
         self.x = np.zeros((a.shape[1], y.shape[1]), dtype=np.complex128)
         self.supports = [np.empty(0, dtype=np.intp)] * y.shape[1]
@@ -260,10 +261,18 @@ class _GreedyBlock:
             residual[:, j] = y_j - self.a @ x
         return residual, halted
 
+    def solve(self, support, y):
+        """Least squares of y on the support's atoms, through the support's
+        block of the shared Gram matrix; pivoted QR where that block is
+        numerically singular."""
+        b = self.a[:, support]
+        s = gram_least_squares(b, self.gram[np.ix_(support, support)], y)
+        return least_squares(b, y) if s is None else s
+
     def fit(self, support, y):
         """Least squares on the candidates, pruned to the kappa strongest
         entries: (iterate, kept support)."""
-        s = least_squares(self.a[:, support], y)
+        s = self.solve(support, y)
         keep = argmax_k(s, min(self.config.kappa, s.size))
         x = np.zeros(self.a.shape[1], dtype=np.complex128)
         x[support[keep]] = s[keep]
@@ -303,11 +312,11 @@ class _GompBlock(_GreedyBlock):
         n = self.a.shape[1]
         # 2. least squares on the accumulated atoms
         x = np.zeros(n, dtype=np.complex128)
-        x[support] = least_squares(self.a[:, support], y)
+        x[support] = self.solve(support, y)
         # 3. prune to the kappa strongest entries and re-fit on those
         top = argmax_k(x, self.config.kappa)
         x = np.zeros(n, dtype=np.complex128)
-        x[top] = least_squares(self.a[:, top], y)
+        x[top] = self.solve(top, y)
         return x, support
 
 
@@ -544,9 +553,11 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     x_dim, y_dim, m = meas.shape
     if m != dictionary.m:
         raise ValueError("measurement length does not match the dictionary")
+    # build the shared Gram matrix and factorization once, before any worker fork
     if algorithm == "admm":
-        # build the factorization once, before any worker fork
         dictionary.admm_factor(config.alpha)
+    elif algorithm in GREEDY_SOLVERS:
+        dictionary.gram
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1
 

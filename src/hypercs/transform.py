@@ -8,6 +8,7 @@ rows of the basis.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -223,9 +224,10 @@ class Dictionary:
 
     lipschitz holds the power-iteration estimate of the largest eigenvalue
     of A^H A; for any row selection of a unitary basis it equals 1.  The
-    Cholesky factor of (A^H A + alpha I) that ADMM inverts is cached here
-    per alpha; recover_cube builds it before forking worker processes, so
-    every worker receives it with the dictionary.
+    Gram matrix A^H A that the greedy solvers' least squares and ADMM share
+    is built once and cached, as is the Cholesky factor of (A^H A + alpha I)
+    that ADMM inverts, per alpha; recover_cube builds both before forking
+    worker processes, so every worker receives them with the dictionary.
     """
 
     matrix: np.ndarray
@@ -250,13 +252,18 @@ class Dictionary:
             raise ValueError("dictionary matrix must be 2-D")
         return cls(matrix=matrix, lipschitz=lipschitz_constant(matrix))
 
+    @cached_property
+    def gram(self):
+        """A^H A, built on first use."""
+        return self.matrix.conj().T @ self.matrix
+
     def admm_factor(self, alpha):
         """Cholesky factorization of (A^H A + alpha I), cached per alpha."""
         if alpha <= 0:
             raise ValueError("alpha must be > 0")
         factor = self._admm_factors.get(alpha)
         if factor is None:
-            gram = self.matrix.conj().T @ self.matrix
+            gram = self.gram.copy()
             gram[np.diag_indices_from(gram)] += alpha
             # Hermitian positive definite for every alpha > 0
             factor = scipy.linalg.cho_factor(gram)

@@ -146,6 +146,21 @@ class TestRecover:
         meta = json.loads((run_dir / "run_fista_lambda0.1.json").read_text())
         assert meta["n_failed"] == 1
 
+    def test_greedy_partial_failures_signal_exit_4(self, cube_file, tmp_path):
+        run_dir = tmp_path / "run"
+        main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
+        main(["compress", "--input", str(run_dir)])
+        meas, n = load_measurements(run_dir / "measurements.hsm")
+        meas[1, 1, :] = np.nan
+        save_measurements(run_dir / "measurements.hsm", meas, n)
+        code = main(
+            ["recover", "--input", str(run_dir), "--algo", "gomp", "--kappa", "2",
+             "--t-conv", "0", "--max-iter", "50"]
+        )
+        assert code == EXIT_PARTIAL
+        meta = json.loads((run_dir / "run_gomp_kappa2.json").read_text())
+        assert meta["n_failed"] == 1
+
     def test_jobs_env_fallback(self, cube_file, tmp_path, monkeypatch):
         run_dir = tmp_path / "run"
         main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])

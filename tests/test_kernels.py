@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from hypercs import argmax_k, gather_columns, least_squares, residual_delta, soft_threshold
+from hypercs import (
+    Dictionary,
+    SolverConfig,
+    argmax_k,
+    gram_least_squares,
+    least_squares,
+    residual_delta,
+    soft_threshold,
+)
+from hypercs.solvers import _CosampBlock
+
+from helpers import partial_fourier
 
 
 class TestSoftThreshold:
@@ -93,11 +104,65 @@ class TestLeastSquares:
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         np.testing.assert_allclose(least_squares(b, y), np.linalg.pinv(b) @ y, atol=1e-10)
 
+    def test_non_finite_input_returns_nan_without_raising(self):
+        b = np.eye(4, 2, dtype=complex)
+        s = least_squares(b, np.array([1.0, np.nan, 0.0, 0.0]))
+        assert s.shape == (2,) and np.isnan(s).all()
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             least_squares(np.ones((3, 2)), np.ones(4))
         with pytest.raises(ValueError):
             least_squares(np.ones(3), np.ones(3))
+
+
+class TestGramLeastSquares:
+    def test_matches_the_qr_solve_on_partial_dft_supports(self):
+        rng = np.random.default_rng(4)
+        for seed in range(20):
+            d = partial_fourier(64, 26, seed)
+            support = np.sort(rng.choice(64, size=rng.integers(1, 14), replace=False))
+            b = d.matrix[:, support]
+            y = rng.standard_normal(26) + 1j * rng.standard_normal(26)
+            s = gram_least_squares(b, d.gram[np.ix_(support, support)], y)
+            expected = least_squares(b, y)
+            assert np.linalg.norm(s - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_refinement_keeps_an_ill_conditioned_support_at_qr_accuracy(self):
+        # column 5 is column 2 plus a 1e-3 multiple of column 9: cond(b) ~ 2e3,
+        # within GRAM_RTOL; the uncorrected normal equations miss by ~5e-10
+        d = partial_fourier(16, 7, 0)
+        matrix = d.matrix.copy()
+        matrix[:, 5] = matrix[:, 2] + 1e-3 * matrix[:, 9]
+        b = matrix[:, [1, 2, 5]]
+        y = np.random.default_rng(5).standard_normal(7) + 0.5j
+        s = gram_least_squares(b, b.conj().T @ b, y)
+        expected = least_squares(b, y)
+        assert np.linalg.norm(s - expected) <= 1e-11 * np.linalg.norm(expected)
+
+    # an exact copy fails the factorization; a 1e-6 perturbation factors
+    # but fails the GRAM_RTOL diagonal test
+    @pytest.mark.parametrize("perturbation", [0.0, 1e-6])
+    def test_duplicated_column_falls_back_to_the_qr_solve(self, perturbation):
+        d = partial_fourier(16, 7, 0)
+        matrix = d.matrix.copy()
+        matrix[:, 5] = matrix[:, 2] + perturbation * matrix[:, 9]
+        support = np.array([1, 2, 5])
+        y = 3.0 * matrix[:, 2] + matrix[:, 1]
+        b = matrix[:, support]
+        assert gram_least_squares(b, b.conj().T @ b, y) is None
+        dup = Dictionary.from_matrix(matrix)
+        block = _CosampBlock(matrix, y[:, None], dup, SolverConfig(kappa=3))
+        assert block.solve(support, y).tobytes() == least_squares(b, y).tobytes()
+
+    def test_nan_right_hand_side_gives_non_finite_values(self):
+        d = partial_fourier(16, 7, 1)
+        support = np.array([0, 3, 9])
+        b = d.matrix[:, support]
+        y = np.ones(7, dtype=complex)
+        y[2] = np.nan
+        s = gram_least_squares(b, d.gram[np.ix_(support, support)], y)
+        assert s.shape == (3,) and not np.isfinite(s).any()
 
 
 class TestResidualDelta:
@@ -112,19 +177,3 @@ class TestResidualDelta:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             residual_delta(np.ones(2), np.ones(3))
-
-
-class TestGatherColumns:
-    def test_plain_matrix(self):
-        a = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(gather_columns(a, [0, 2]), a[:, [0, 2]])
-
-    def test_object_with_matrix_attribute(self):
-        class Holder:
-            matrix = np.arange(6.0).reshape(2, 3)
-
-        np.testing.assert_array_equal(gather_columns(Holder(), [1]), Holder.matrix[:, [1]])
-
-    def test_out_of_range_support_rejected(self):
-        with pytest.raises(IndexError):
-            gather_columns(np.ones((2, 3)), [3])

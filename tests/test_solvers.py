@@ -325,20 +325,19 @@ class TestRecoverCube:
         d, _, meas = measured
         meas = meas.copy()
         meas[0, 1] = 0.0
+        meas[1, 2, 0] = np.nan
         cfg = SolverConfig(lam=0.05, kappa=3, atoms_per_iter=3, time_limit=None, max_iter=5000)
-        if name in CONVEX_SOLVERS:
-            meas[1, 2, 0] = np.nan
-        else:
+        if name in GREEDY_SOLVERS:
             # noise: gomp's accumulated support outgrows the m = 7 measurements
             rng = np.random.default_rng(1)
-            meas[1, 2] = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+            meas[1, 1] = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         cube, stats = recover_cube(meas, d, cfg, name)
         assert stats.n_zero_pixels == 1
+        assert stats.failed_pixels == [(1, 2, 1)]
         if name in CONVEX_SOLVERS:
-            assert stats.failed_pixels == [(1, 2, 1)]
             assert stats.n_converged == 5
         if name == "gomp":
-            halted = stats.results[5]
+            halted = stats.results[4]
             assert not halted.converged and 0 < halted.iterations < cfg.max_iter
         for index, result in enumerate(stats.results):
             ix, iy = divmod(index, 3)

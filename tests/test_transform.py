@@ -1,7 +1,10 @@
 """Transform layer: DFT basis, sparsification, masks, measurement, dictionary."""
 
+import pickle
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hypercs import (
     Dictionary,
@@ -261,8 +264,6 @@ class TestDictionary:
         factor = d.admm_factor(1.8)
         rng = np.random.default_rng(6)
         b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        import scipy.linalg
-
         s = scipy.linalg.cho_solve(factor, b)
         gram = d.matrix.conj().T @ d.matrix + 1.8 * np.eye(12)
         np.testing.assert_allclose(gram @ s, b, atol=1e-10)
@@ -271,6 +272,20 @@ class TestDictionary:
         d = partial_fourier(12, 5, 1)
         assert d.admm_factor(1.8) is d.admm_factor(1.8)
         assert d.admm_factor(1.8) is not d.admm_factor(2.0)
+
+    def test_gram_is_built_once_and_pickled_with_the_dictionary(self):
+        d = partial_fourier(12, 5, 2)
+        gram = d.gram
+        # admm factors a damped copy, bit for bit the factor of A^H A + alpha I
+        damped = d.matrix.conj().T @ d.matrix
+        damped[np.diag_indices_from(damped)] += 1.8
+        assert d.admm_factor(1.8)[0].tobytes() == scipy.linalg.cho_factor(damped)[0].tobytes()
+        assert d.gram is gram
+        np.testing.assert_array_equal(gram, d.matrix.conj().T @ d.matrix)
+        # a worker's unpickled copy carries the Gram instead of rebuilding it
+        copy = pickle.loads(pickle.dumps(d))
+        copy.matrix = np.zeros_like(d.matrix)
+        assert copy.gram.tobytes() == gram.tobytes()
 
     def test_admm_factor_requires_positive_alpha(self):
         with pytest.raises(ValueError):
