@@ -19,7 +19,6 @@ from .kernels import argmax_k, gram_least_squares, least_squares, residual_delta
 from .metrics import (
     SummaryRow,
     UndefinedMetricError,
-    convergence_ratio,
     export_false_color,
     psnr,
     read_report,
@@ -84,7 +83,6 @@ __all__ = [
     "build_dft_basis",
     "build_dictionary",
     "build_selection_mask",
-    "convergence_ratio",
     "cosamp",
     "export_false_color",
     "extract_pixel",

@@ -80,16 +80,17 @@ def save_measurements(path, measurements, n):
 
 
 def load_measurements(path):
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 + MEAS_HEADER.size or raw[:4] != MEAS_MAGIC:
-        raise PipelineFileError(f"{path}: not a measurement file")
-    x, y, m, n = MEAS_HEADER.unpack_from(raw, 4)
-    payload = raw[4 + MEAS_HEADER.size:]
-    count = x * y * m
-    if len(payload) != count * 16:
-        raise PipelineFileError(f"{path}: payload size does not match the header")
-    meas = np.frombuffer(payload, dtype=np.complex128).reshape(x, y, m)
-    return meas.copy(), n
+    """(x, y, m) complex128 measurements and n, the band count."""
+    with open(path, "rb") as fh:
+        head = fh.read(4 + MEAS_HEADER.size)
+        if len(head) < 4 + MEAS_HEADER.size or head[:4] != MEAS_MAGIC:
+            raise PipelineFileError(f"{path}: not a measurement file")
+        x, y, m, n = MEAS_HEADER.unpack_from(head, 4)
+        count = x * y * m
+        if os.fstat(fh.fileno()).st_size != len(head) + count * 16:
+            raise PipelineFileError(f"{path}: payload size does not match the header")
+        meas = np.fromfile(fh, dtype="<c16", count=count)
+    return meas.reshape(x, y, m), n
 
 
 # ---------------------------------------------------------------- stages
@@ -146,33 +147,36 @@ def _tag(algorithm, config):
     return f"{algorithm}_kappa{config.kappa}"
 
 
-def _write_pixel_log(path, stats, x_dim, y_dim):
-    failed = {(fx, fy): it for fx, fy, it in stats.failed_pixels}
+def _write_pixel_log(path, stats, y_dim):
+    """One row per pixel in raster order; a failed pixel reads
+    x,y,<failed_at>,0,,,1."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "y", "iterations", "converged", "elapsed_s", "final_delta", "failed"])
-        for index, result in enumerate(stats.results):
+        rows = zip(
+            stats.iterations.tolist(),
+            stats.converged.tolist(),
+            stats.elapsed.tolist(),
+            stats.final_delta.tolist(),
+            stats.failed_at.tolist(),
+        )
+        for index, (iterations, converged, elapsed, final_delta, failed_at) in enumerate(rows):
             ix, iy = divmod(index, y_dim)
-            if result is None:
-                writer.writerow([ix, iy, failed.get((ix, iy), ""), 0, "", "", 1])
+            if failed_at:
+                writer.writerow([ix, iy, failed_at, 0, "", "", 1])
             else:
                 writer.writerow(
-                    [
-                        ix,
-                        iy,
-                        result.iterations,
-                        int(result.converged),
-                        f"{result.elapsed:.6f}",
-                        f"{result.final_delta:.3e}",
-                        0,
-                    ]
+                    [ix, iy, iterations, int(converged), f"{elapsed:.6f}", f"{final_delta:.3e}", 0]
                 )
 
 
 def run_recover(run_dir, algorithm, config, jobs, dataset=None):
     run_dir = Path(run_dir)
     measurements, n = load_measurements(run_dir / MEASUREMENTS_FILE)
-    mask = load_mask(run_dir / MASK_FILE)
+    try:
+        mask = load_mask(run_dir / MASK_FILE)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise PipelineFileError(f"{run_dir / MASK_FILE}: {exc}") from None
     if mask.n != n or mask.m != measurements.shape[2]:
         raise PipelineFileError(f"{run_dir}: mask does not match the measurement file")
     if dataset is None:
@@ -190,7 +194,7 @@ def run_recover(run_dir, algorithm, config, jobs, dataset=None):
 
     tag = _tag(algorithm, config)
     save_cube(recovered, run_dir / f"recovered_{tag}.hsc")
-    _write_pixel_log(run_dir / f"pixels_{tag}.csv", stats, x_dim, y_dim)
+    _write_pixel_log(run_dir / f"pixels_{tag}.csv", stats, y_dim)
     meta = {
         "dataset": dataset,
         "algorithm": algorithm,
@@ -399,8 +403,7 @@ def _export_bands(settings):
 # ------------------------------------------------------------ commands
 
 
-def cmd_sparsify(args):
-    settings = Settings(args)
+def _sparsify(settings):
     run_sparsify(
         input_path=settings.require("input"),
         fmt_name=settings.get("fmt", file_key="format", default="auto"),
@@ -409,6 +412,10 @@ def cmd_sparsify(args):
         peak=settings.get("psnr_peak", default="abs-max"),
         dataset=settings.get("dataset"),
     )
+
+
+def cmd_sparsify(args):
+    _sparsify(Settings(args))
     return EXIT_OK
 
 
@@ -461,14 +468,7 @@ def cmd_bench(args):
     bands = _export_bands(settings)
     dataset = settings.get("dataset")
 
-    run_sparsify(
-        input_path=settings.require("input"),
-        fmt_name=settings.get("fmt", file_key="format", default="auto"),
-        factor=settings.get("threshold_factor", cast=float, file_key="t", default=0.1),
-        out_dir=out_dir,
-        peak=settings.get("psnr_peak", default="abs-max"),
-        dataset=dataset,
-    )
+    _sparsify(settings)
     run_compress(
         out_dir=out_dir,
         ratio=settings.get("ratio", cast=float, default=0.4),

@@ -30,29 +30,22 @@ class CubeFormatError(Exception):
 
 @dataclass
 class CubeFormat:
-    """Describes how cube samples are laid out on disk.
+    """Which reader or writer handles a cube file.
 
-    kind is "native" or "envi".  Native files are little-endian f32 or f64;
-    the other fields record what an ENVI header declared.
+    kind is "native" or "envi".  element_type is the sample type a native
+    file is written in or, when given to load_cube, must hold; native files
+    are always little-endian.  ENVI files are described by their own header.
     """
 
     kind: str = "native"
-    interleave: str = "bip"
     element_type: str = "f64"
-    byte_order: str = "little"
 
     def __post_init__(self):
         if self.kind not in ("native", "envi"):
             raise ValueError(f"unknown cube format kind {self.kind!r}")
-        if self.interleave not in ENVI_INTERLEAVES:
-            raise ValueError(f"unknown interleave {self.interleave!r}")
-        if self.byte_order not in ("little", "big"):
-            raise ValueError(f"unknown byte order {self.byte_order!r}")
         if self.kind == "native":
             if self.element_type not in ("f32", "f64"):
                 raise ValueError("native cubes store f32 or f64 samples")
-            if self.byte_order != "little":
-                raise ValueError("native cubes are little-endian")
         elif self.element_type not in ("f32", "f64", "u16"):
             raise ValueError(f"unsupported element type {self.element_type!r}")
 
@@ -136,21 +129,21 @@ def _load_native(path, fmt):
     if min(x, y, bands) < 1:
         raise CubeFormatError(f"{path}: degenerate dimensions {x} x {y} x {bands}")
     count = x * y * bands
-    payload = raw[4 + NATIVE_HEADER.size:]
+    offset = 4 + NATIVE_HEADER.size
     if fmt is not None:
         sizes = [ELEMENT_SIZES[fmt.element_type]]
     else:
         sizes = [8, 4]
     for size in sizes:
-        if len(payload) == count * size:
+        if len(raw) - offset == count * size:
             dtype = "<f8" if size == 8 else "<f4"
-            data = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+            data = np.frombuffer(raw, dtype=dtype, offset=offset).astype(np.float64)
             try:
                 return HsiCube(data=data.reshape(x, y, bands))
             except ValueError as exc:
                 raise CubeFormatError(f"{path}: {exc}") from None
     raise CubeFormatError(
-        f"{path}: payload holds {len(payload)} bytes, expected {count} samples"
+        f"{path}: payload holds {len(raw) - offset} bytes, expected {count} samples"
     )
 
 

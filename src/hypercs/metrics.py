@@ -55,15 +55,6 @@ def psnr(reference, reconstruction, peak="abs-max"):
     return 10.0 * math.log10(peak_value * peak_value / mse)
 
 
-def convergence_ratio(results):
-    """Percentage of converged pixels; None entries count as not converged."""
-    results = list(results)
-    if not results:
-        raise ValueError("no solver results to aggregate")
-    converged = sum(1 for r in results if r is not None and r.converged)
-    return 100.0 * converged / len(results)
-
-
 @dataclass
 class SummaryRow:
     """One benchmark line: dataset x algorithm x parameter value."""

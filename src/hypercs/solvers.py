@@ -19,12 +19,11 @@ products.  Solvers draw no randomness, so results are reproducible bit for bit w
 the time budget is disabled.
 """
 
-import itertools
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -99,7 +98,6 @@ class SolverResult:
     converged: bool
     elapsed: float  # time charge, the wall time of a single-pixel solve
     final_delta: float
-    admm_gap: float | None = None  # ||x - z|| at termination, admm only
 
 
 def stop_check(delta, charge, iterations, config):
@@ -170,10 +168,6 @@ class _FistaBlock:
     def keep(self, cols):
         self.x, self.z = self.x[:, cols], self.z[:, cols]
 
-    def result(self, j):
-        """(solution, admm_gap) of active column j."""
-        return self.x[:, j].copy(), None
-
 
 class _AdmmBlock:
     """Scaled-dual ADMM on an (n, k) block of pixel columns.
@@ -220,10 +214,6 @@ class _AdmmBlock:
         self.b, self.x, self.z, self.w = (
             self.b[:, cols], self.x[:, cols], self.z[:, cols], self.w[:, cols]
         )
-
-    def result(self, j):
-        """(solution, admm_gap) of active column j."""
-        return self.z[:, j].copy(), float(np.linalg.norm(self.x[:, j] - self.z[:, j]))
 
 
 class _GreedyBlock:
@@ -285,10 +275,6 @@ class _GreedyBlock:
     def keep(self, cols):
         self.x = self.x[:, cols]
         self.supports = [self.supports[j] for j in np.flatnonzero(cols)]
-
-    def result(self, j):
-        """(solution, admm_gap) of active column j."""
-        return self.x[:, j].copy(), None
 
 
 class _GompBlock(_GreedyBlock):
@@ -364,26 +350,86 @@ class _CosampBlock(_GreedyBlock):
         return np.union1d(self.supports[j], argmax_k(p, 2 * self.config.kappa))
 
 
+@dataclass
+class RecoveryStats:
+    """Per-pixel record of a solve, one array entry per pixel column, and
+    the aggregates derived from it.
+
+    iterations, converged, elapsed (the time charge), final_delta and
+    failed_at, the iteration at which the pixel's iterate or delta turned
+    non-finite, else 0.  A failed pixel records only failed_at and its
+    charge; recovery_time_s sums the charges of the other pixels, the wall
+    time of the solves when jobs == 1, a sum across workers when jobs > 1.
+    """
+
+    iterations: np.ndarray
+    converged: np.ndarray
+    elapsed: np.ndarray
+    final_delta: np.ndarray
+    failed_at: np.ndarray
+
+    @classmethod
+    def zeros(cls, k):
+        return cls(np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool), np.zeros(k),
+                   np.zeros(k), np.zeros(k, dtype=np.int64))
+
+    def put(self, first, tile):
+        """Copy the record of a tile of consecutive pixels in at index first."""
+        for name, values in vars(tile).items():
+            getattr(self, name)[first : first + values.size] = values
+
+    @property
+    def n_pixels(self):
+        return int(self.failed_at.size)
+
+    @property
+    def n_failed(self):
+        return int(np.count_nonzero(self.failed_at))
+
+    @property
+    def n_converged(self):
+        return int(np.count_nonzero(self.converged))
+
+    @property
+    def n_zero_pixels(self):
+        return int(np.count_nonzero((self.iterations == 0) & self.converged))
+
+    @property
+    def total_iterations(self):
+        return int(self.iterations.sum())
+
+    @property
+    def recovery_time_s(self):
+        return float(self.elapsed[self.failed_at == 0].sum())
+
+    @property
+    def convergence_pct(self):
+        return 100.0 * self.n_converged / self.n_pixels if self.n_pixels else 0.0
+
+
 def _solve_block(ys, dictionary, config, block_type):
     """Solve the pixel columns of an (m, k) measurement block together.
 
-    Returns one (SolverResult, None) per column, or (None, iteration) for a
-    column whose iterate or delta turned non-finite at that iteration.
-    Before each iteration stop_check's rule stops a column when its delta
-    drops below epsilon, else when its time charge reaches the budget,
-    else at the iteration cap; a greedy column whose support outgrew the
-    measurements stops unconverged with its last completed iteration.
-    Stopped columns leave the block.  Each column is charged an equal share
-    of the block's set-up and of every iteration it takes part in, so the
-    charges of a solve sum to its wall time and a single column is charged
-    its wall time.  All-zero columns short-circuit to the zero vector with
-    0 iterations, after the block type has validated the config.
+    Returns the (n, k) solutions and the block's RecoveryStats; a column
+    whose iterate or delta turned non-finite is recorded as failed, its
+    solution left at zero.  Before each iteration stop_check's rule stops a
+    column when its delta drops below epsilon, else when its time charge
+    reaches the budget, else at the iteration cap; a greedy column whose
+    support outgrew the measurements stops unconverged with its last
+    completed iteration.  Stopped columns leave the block.  Each column is
+    charged an equal share of the block's set-up and of every iteration it
+    takes part in, so the charges of a solve sum to its wall time and a
+    single column is charged its wall time.  All-zero columns short-circuit
+    to the zero vector with 0 iterations, after the block type has
+    validated the config.
     """
     start = time.perf_counter()
     a = dictionary.matrix
-    n, k = a.shape[1], ys.shape[1]
-    outcomes = [None] * k
+    k = ys.shape[1]
+    solution = np.zeros((a.shape[1], k), dtype=np.complex128)
+    stats = RecoveryStats.zeros(k)
     nonzero = ys.any(axis=0)
+    stats.converged[~nonzero] = True
     cols = np.flatnonzero(nonzero)  # block column of each active column
     y = ys[:, cols]
     block = block_type(a, y, dictionary, config)
@@ -393,31 +439,21 @@ def _solve_block(ys, dictionary, config, block_type):
     halted = np.zeros(cols.size, dtype=bool)
     iterations = 0
     mark = time.perf_counter()
-    charge = np.full(k, (mark - start) / k)
-    for j in np.flatnonzero(~nonzero):
-        zero = SolverResult(np.zeros(n, dtype=np.complex128), 0, True, float(charge[j]), 0.0)
-        outcomes[j] = (zero, None)
+    stats.elapsed[:] = (mark - start) / k
     while cols.size:
         now = time.perf_counter()
-        charge[cols] += (now - mark) / cols.size
+        stats.elapsed[cols] += (now - mark) / cols.size
         mark = now
-        converged, stopped = stop_check(delta, charge[cols], iterations, config)
+        converged, stopped = stop_check(delta, stats.elapsed[cols], iterations, config)
         stopped |= halted | ~finite
-        for j in np.flatnonzero(stopped):
-            if not finite[j]:
-                outcomes[cols[j]] = (None, iterations)
-                continue
-            x, gap = block.result(j)
-            result = SolverResult(
-                x=x,
-                iterations=iterations - int(halted[j]),
-                converged=bool(converged[j]),
-                elapsed=float(charge[cols[j]]),
-                final_delta=float(delta[j]),
-                admm_gap=gap,
-            )
-            outcomes[cols[j]] = (result, None)
         if stopped.any():
+            solved = stopped & finite
+            done = cols[solved]
+            solution[:, done] = block.solution[:, solved]
+            stats.iterations[done] = iterations - halted[solved]
+            stats.converged[done] = converged[solved]
+            stats.final_delta[done] = delta[solved]
+            stats.failed_at[cols[stopped & ~finite]] = iterations
             keep = ~stopped
             cols, y, residual, delta = cols[keep], y[:, keep], residual[:, keep], delta[keep]
             if not cols.size:
@@ -429,7 +465,7 @@ def _solve_block(ys, dictionary, config, block_type):
         delta = np.where(halted, delta, residual_delta(residual, residual_prev))
         iterations += 1
         finite = np.isfinite(delta) & np.isfinite(block.solution).all(axis=0)
-    return outcomes
+    return solution, stats
 
 
 def _solve_pixel(y, dictionary, config, block_type):
@@ -437,10 +473,16 @@ def _solve_pixel(y, dictionary, config, block_type):
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (dictionary.m,):
         raise ValueError(f"measurement length {y.shape} does not match {dictionary.m} rows")
-    ((result, failed_at),) = _solve_block(y[:, None], dictionary, config, block_type)
-    if result is None:
-        raise NumericalFailure(failed_at)
-    return result
+    solution, stats = _solve_block(y[:, None], dictionary, config, block_type)
+    if stats.n_failed:
+        raise NumericalFailure(int(stats.failed_at[0]))
+    return SolverResult(
+        x=solution[:, 0],
+        iterations=int(stats.iterations[0]),
+        converged=bool(stats.converged[0]),
+        elapsed=float(stats.elapsed[0]),
+        final_delta=float(stats.final_delta[0]),
+    )
 
 
 def fista(y, dictionary, config):
@@ -485,32 +527,6 @@ GREEDY_SOLVERS = ("gomp", "biht", "cosamp")
 # bounds the block's working arrays on a full-size scene
 TILE_PIXELS = 256
 
-
-@dataclass
-class RecoveryStats:
-    """Aggregate of a whole-cube recovery.
-
-    results holds one SolverResult per pixel in raster order (x-major),
-    None where the solver failed numerically; failed_pixels lists those
-    (x, y, iteration) triples.  recovery_time_s sums the per-pixel time
-    charges (SolverResult.elapsed) of the solved pixels: the wall time of
-    the solves when jobs == 1, a sum across workers when jobs > 1.
-    """
-
-    n_pixels: int
-    n_converged: int
-    n_failed: int
-    n_zero_pixels: int
-    total_iterations: int
-    recovery_time_s: float
-    results: list = field(repr=False, default_factory=list)
-    failed_pixels: list = field(default_factory=list)
-
-    @property
-    def convergence_pct(self):
-        return 100.0 * self.n_converged / self.n_pixels if self.n_pixels else 0.0
-
-
 _POOL = {}
 _BLOCK_TYPES = {
     "fista": _FistaBlock,
@@ -527,19 +543,17 @@ def _pool_init(dictionary, config, algorithm):
     _POOL["block_type"] = _BLOCK_TYPES[algorithm]
 
 
-def _tile_solve(item):
-    """A tile of consecutive pixels as one block: [(index, result, failed_at)]."""
-    first, ys = item
-    outcomes = _solve_block(ys.T, _POOL["dictionary"], _POOL["config"], _POOL["block_type"])
-    return [(first + j, result, failed_at) for j, (result, failed_at) in enumerate(outcomes)]
+def _tile_solve(ys):
+    """A tile of consecutive (k, m) pixels as one block: (solutions, stats)."""
+    return _solve_block(ys.T, _POOL["dictionary"], _POOL["config"], _POOL["block_type"])
 
 
 def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     """Solve every pixel of an (x, y, m) measurement array.
 
-    Returns (sparse-domain cube of shape (x, y, n), RecoveryStats).  A pixel
-    whose solver fails numerically is flagged and left at zero; the cube is
-    never aborted.  Every solver solves tiles of at most TILE_PIXELS
+    Returns (sparse-domain cube of shape (x, y, n), RecoveryStats of the
+    pixels in raster order, x-major).  A pixel whose solver fails
+    numerically is flagged and left at zero; the cube is never aborted.  Every solver solves tiles of at most TILE_PIXELS
     consecutive pixels as one block; with jobs > 1 the tiles are
     distributed over worker processes.  Every pixel keeps its own stop
     rule, so the iteration counts equal those of per-pixel solver calls;
@@ -565,10 +579,19 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     flat = meas.reshape(n_pixels, m)
     # tiles of at most TILE_PIXELS, but at least one per worker
     tile = max(1, min(TILE_PIXELS, -(-n_pixels // jobs)))
-    items = ((i, flat[i : i + tile]) for i in range(0, n_pixels, tile))
+    starts = range(0, n_pixels, tile)
+    tiles = (flat[i : i + tile] for i in starts)
+    cube = np.zeros((n_pixels, dictionary.n), dtype=np.complex128)
+    stats = RecoveryStats.zeros(n_pixels)
+
+    def fill(results):
+        for first, (solution, tile_stats) in zip(starts, results):
+            cube[first : first + solution.shape[1]] = solution.T
+            stats.put(first, tile_stats)
+
     if jobs == 1:
         _pool_init(dictionary, config, algorithm)
-        outcomes = list(map(_tile_solve, items))
+        fill(map(_tile_solve, tiles))
         _POOL.clear()
     else:
         with ProcessPoolExecutor(
@@ -576,27 +599,5 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
             initializer=_pool_init,
             initargs=(dictionary, config, algorithm),
         ) as pool:
-            outcomes = list(pool.map(_tile_solve, items))
-
-    results = [None] * n_pixels
-    failures = []
-    cube = np.zeros((x_dim, y_dim, dictionary.n), dtype=np.complex128)
-    for index, result, failed_at in itertools.chain.from_iterable(outcomes):
-        ix, iy = divmod(index, y_dim)
-        if result is None:
-            failures.append((ix, iy, failed_at))
-        else:
-            results[index] = result
-            cube[ix, iy, :] = result.x
-    solved = [r for r in results if r is not None]
-    stats = RecoveryStats(
-        n_pixels=n_pixels,
-        n_converged=sum(r.converged for r in solved),
-        n_failed=len(failures),
-        n_zero_pixels=sum(r.iterations == 0 and r.converged for r in solved),
-        total_iterations=sum(r.iterations for r in solved),
-        recovery_time_s=sum(r.elapsed for r in solved),
-        results=results,
-        failed_pixels=failures,
-    )
-    return cube, stats
+            fill(pool.map(_tile_solve, tiles))
+    return cube.reshape(x_dim, y_dim, dictionary.n), stats

@@ -8,12 +8,24 @@ import subprocess
 import numpy as np
 import pytest
 
-from hypercs import generate_synthetic_cube, load_cube, read_report, save_cube
+from hypercs import (
+    SOLVERS,
+    NumericalFailure,
+    SolverConfig,
+    build_dft_basis,
+    build_dictionary,
+    generate_synthetic_cube,
+    load_cube,
+    load_mask,
+    read_report,
+    save_cube,
+)
 from hypercs.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     EXIT_PARTIAL,
+    PipelineFileError,
     load_measurements,
     main,
     save_measurements,
@@ -180,6 +192,86 @@ class TestRecover:
         assert main(args + ["--jobs", "-1"]) == EXIT_CONFIG
         monkeypatch.setenv("HYPERCS_JOBS", "two")
         assert main(args) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            b"seed=0\nn=24\nindices=1,x,3\n",
+            b"seed=0\nn=24\nindices=5,3,7\n",
+            b"seed=0\nn=24\nindices=1,2,\xc3\xa9\n",
+        ],
+        ids=["garbled-index", "non-increasing", "non-ascii"],
+    )
+    def test_malformed_mask_exits_3(self, cube_file, tmp_path, mask):
+        run_dir = tmp_path / "run"
+        main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
+        main(["compress", "--input", str(run_dir)])
+        (run_dir / "mask.txt").write_bytes(mask)
+        code = main(["recover", "--input", str(run_dir), "--algo", "gomp", "--kappa", "2"])
+        assert code == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: b"HSX1" + raw[4:],
+            lambda raw: raw[:-8],
+            lambda raw: raw + bytes(16),
+        ],
+        ids=["wrong-magic", "truncated-payload", "oversized-payload"],
+    )
+    def test_malformed_measurement_file_exits_3(self, cube_file, tmp_path, damage):
+        run_dir = tmp_path / "run"
+        main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
+        main(["compress", "--input", str(run_dir)])
+        path = run_dir / "measurements.hsm"
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(PipelineFileError):
+            load_measurements(path)
+        code = main(["recover", "--input", str(run_dir), "--algo", "gomp", "--kappa", "2"])
+        assert code == EXIT_IO
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_pixel_log_matches_per_pixel_solves(self, cube_file, tmp_path, name):
+        run_dir = tmp_path / "run"
+        main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
+        main(["compress", "--input", str(run_dir)])
+        meas, n = load_measurements(run_dir / "measurements.hsm")
+        meas[0, 2] = 0.0
+        meas[1, 1, 0] = np.nan
+        if name == "gomp":
+            # noise: the accumulated support outgrows the m = 10 measurements
+            rng = np.random.default_rng(1)
+            meas[2, 1] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        save_measurements(run_dir / "measurements.hsm", meas, n)
+        flags = ["--lambda", "0.1"] if name in ("fista", "admm") else ["--kappa", "5", "--G", "5"]
+        code = main(
+            ["recover", "--input", str(run_dir), "--algo", name, *flags, "--t-conv", "0",
+             "--max-iter", "400"]
+        )
+        assert code == EXIT_PARTIAL
+
+        config = SolverConfig(lam=0.1, kappa=5, atoms_per_iter=5, time_limit=None, max_iter=400)
+        dictionary = build_dictionary(build_dft_basis(n), load_mask(run_dir / "mask.txt"))
+        tag = f"{name}_lambda0.1" if name in ("fista", "admm") else f"{name}_kappa5"
+        with open(run_dir / f"pixels_{tag}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["x", "y", "iterations", "converged", "elapsed_s", "final_delta", "failed"]
+        assert [row[:2] for row in rows[1:]] == [[str(ix), str(iy)] for ix in range(4) for iy in range(3)]
+        for row in rows[1:]:
+            ix, iy = int(row[0]), int(row[1])
+            if (ix, iy) == (1, 1):
+                assert row == ["1", "1", "1", "0", "", "", "1"]
+                with pytest.raises(NumericalFailure):
+                    SOLVERS[name](meas[ix, iy], dictionary, config)
+                continue
+            single = SOLVERS[name](meas[ix, iy], dictionary, config)
+            assert row[2:4] == [str(single.iterations), str(int(single.converged))]
+            assert float(row[4]) >= 0.0
+            assert row[5:] == [f"{single.final_delta:.3e}", "0"]
+            if (ix, iy) == (0, 2):
+                assert row[2:4] == ["0", "1"]
+            if name == "gomp" and (ix, iy) == (2, 1):
+                assert row[3] == "0" and 0 < single.iterations < 400
 
 
 class TestReport:

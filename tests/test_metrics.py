@@ -9,14 +9,13 @@ from hypercs import (
     HsiCube,
     SummaryRow,
     UndefinedMetricError,
-    convergence_ratio,
     export_false_color,
     psnr,
     read_report,
     write_report,
 )
 from hypercs.metrics import REPORT_COMMENT, param_label
-from hypercs.solvers import SolverConfig, SolverResult
+from hypercs.solvers import SolverConfig
 
 
 def cube(values):
@@ -54,17 +53,6 @@ class TestPsnr:
             psnr(cube([[[1.0]]]), cube([[[1.0, 2.0]]]))
         with pytest.raises(ValueError):
             psnr(cube([[[1.0]]]), cube([[[1.0]]]), "rms")
-
-
-class TestConvergenceRatio:
-    def test_counts_converged_and_treats_none_as_failed(self):
-        ok = SolverResult(x=np.zeros(1), iterations=1, converged=True, elapsed=0.0, final_delta=0.0)
-        bad = SolverResult(x=np.zeros(1), iterations=1, converged=False, elapsed=0.0, final_delta=1.0)
-        assert convergence_ratio([ok, bad, None, ok]) == pytest.approx(50.0)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            convergence_ratio([])
 
 
 class TestSummaryRow:
