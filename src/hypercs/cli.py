@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import CubeFormat, CubeFormatError, HsiCube, extract_pixel, load_cube, save_cube
+from .cube import CubeFormat, CubeFormatError, HsiCube, load_cube, save_cube
 from .metrics import (
     PEAK_CONVENTIONS,
     SummaryRow,
@@ -39,6 +39,7 @@ from .transform import (
     build_selection_mask,
     from_sparse_domain,
     load_mask,
+    measure,
     save_mask,
     sparsify,
     to_sparse_domain,
@@ -101,14 +102,15 @@ def run_sparsify(input_path, fmt_name, factor, out_dir, peak, dataset=None):
     cube = load_cube(input_path, fmt)
     basis = build_dft_basis(cube.bands)
     data = np.empty_like(cube.data)
-    zeroed = 0
-    for ix in range(cube.x):
-        for iy in range(cube.y):
-            coeffs = to_sparse_domain(extract_pixel(cube, ix, iy), basis)
-            kept, stats = sparsify(coeffs, factor)
-            data[ix, iy, :], _ = from_sparse_domain(kept, basis)
-            zeroed += round(stats.zero_fraction * cube.bands)
+    zero_fractions = np.empty(cube.data.shape[:2])
+    # per x-line: whole-cube temporaries would linger in forked workers' heap
+    for ix, line in enumerate(cube.data):
+        kept, stats = sparsify(to_sparse_domain(line, basis), factor)
+        data[ix], _ = from_sparse_domain(kept, basis)
+        zero_fractions[ix] = stats.zero_fraction
     sparsified = HsiCube(data=data)
+    # whole per-pixel zero counts keep the cube's fraction exact
+    zeroed = float(np.rint(zero_fractions * cube.bands).sum())
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -132,8 +134,7 @@ def run_compress(out_dir, ratio, seed, cube_path=None):
     out_dir = Path(out_dir)
     cube = load_cube(cube_path or out_dir / SPARSIFIED_FILE)
     mask = build_selection_mask(cube.bands, ratio, seed)
-    # y = f[mask.indices] for every pixel at once
-    measurements = cube.data[:, :, mask.indices].astype(np.complex128)
+    measurements = measure(cube.data, mask)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_measurements(out_dir / MEASUREMENTS_FILE, measurements, cube.bands)
     save_mask(mask, out_dir / MASK_FILE)
@@ -188,13 +189,11 @@ def run_recover(run_dir, algorithm, config, jobs, dataset=None):
     basis = build_dft_basis(n)
     dictionary = build_dictionary(basis, mask)
     sparse_cube, stats = recover_cube(measurements, dictionary, config, algorithm, jobs)
-    x_dim, y_dim = measurements.shape[:2]
-    spectra = (sparse_cube.reshape(-1, n) @ basis.matrix.T).real.reshape(x_dim, y_dim, n)
-    recovered = HsiCube(data=np.ascontiguousarray(spectra))
+    spectra, _ = from_sparse_domain(sparse_cube, basis)
 
     tag = _tag(algorithm, config)
-    save_cube(recovered, run_dir / f"recovered_{tag}.hsc")
-    _write_pixel_log(run_dir / f"pixels_{tag}.csv", stats, y_dim)
+    save_cube(HsiCube(data=spectra), run_dir / f"recovered_{tag}.hsc")
+    _write_pixel_log(run_dir / f"pixels_{tag}.csv", stats, measurements.shape[1])
     meta = {
         "dataset": dataset,
         "algorithm": algorithm,

@@ -14,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .transform import build_dft_basis
+from .transform import build_dft_basis, from_sparse_domain
 
 NATIVE_MAGIC = b"HSC1"
 NATIVE_HEADER = struct.Struct("<III")
 
 ENVI_DTYPES = {4: "f4", 5: "f8", 12: "u2"}
 ENVI_INTERLEAVES = ("bsq", "bil", "bip")
-ELEMENT_SIZES = {"f32": 4, "f64": 8}
 
 
 class CubeFormatError(Exception):
@@ -32,9 +31,10 @@ class CubeFormatError(Exception):
 class CubeFormat:
     """Which reader or writer handles a cube file.
 
-    kind is "native" or "envi".  element_type is the sample type a native
-    file is written in or, when given to load_cube, must hold; native files
-    are always little-endian.  ENVI files are described by their own header.
+    kind is "native" or "envi".  element_type is the sample type save_cube
+    writes a native file in; load_cube tells f32 from f64 native files by
+    their payload size.  Native files are always little-endian.  ENVI files
+    are described by their own header.
     """
 
     kind: str = "native"
@@ -117,11 +117,11 @@ def load_cube(path, fmt=None):
     else:
         kind = fmt.kind
     if kind == "native":
-        return _load_native(path, fmt)
+        return _load_native(path)
     return _load_envi(path)
 
 
-def _load_native(path, fmt):
+def _load_native(path):
     raw = Path(path).read_bytes()
     if len(raw) < 4 + NATIVE_HEADER.size or raw[:4] != NATIVE_MAGIC:
         raise CubeFormatError(f"{path}: not a native cube file")
@@ -130,11 +130,7 @@ def _load_native(path, fmt):
         raise CubeFormatError(f"{path}: degenerate dimensions {x} x {y} x {bands}")
     count = x * y * bands
     offset = 4 + NATIVE_HEADER.size
-    if fmt is not None:
-        sizes = [ELEMENT_SIZES[fmt.element_type]]
-    else:
-        sizes = [8, 4]
-    for size in sizes:
+    for size in (8, 4):
         if len(raw) - offset == count * size:
             dtype = "<f8" if size == 8 else "<f4"
             data = np.frombuffer(raw, dtype=dtype, offset=offset).astype(np.float64)
@@ -200,15 +196,17 @@ def _load_envi(path):
         raise CubeFormatError(f"{header_path}: unsupported interleave {interleave!r}")
     if dtype_code not in ENVI_DTYPES:
         raise CubeFormatError(f"{header_path}: unsupported data type {dtype_code}")
+    if offset < 0:
+        raise CubeFormatError(f"{header_path}: negative header offset {offset}")
     dtype = np.dtype(("<" if byte_order == 0 else ">") + ENVI_DTYPES[dtype_code])
 
-    raw = Path(path).read_bytes()[offset:]
+    size = Path(path).stat().st_size - offset
     count = samples * lines * bands
-    if len(raw) < count * dtype.itemsize:
+    if size < count * dtype.itemsize:
         raise CubeFormatError(
-            f"{path}: file holds {len(raw)} bytes, header declares {count} samples"
+            f"{path}: file holds {size} bytes, header declares {count} samples"
         )
-    flat = np.frombuffer(raw, dtype=dtype, count=count).astype(np.float64)
+    flat = np.fromfile(path, dtype=dtype, count=count, offset=offset)
     if interleave == "bsq":
         data = flat.reshape(bands, lines, samples).transpose(2, 1, 0)
     elif interleave == "bil":
@@ -223,7 +221,8 @@ def _load_envi(path):
         if len(band_meta) != bands:
             band_meta = None
     try:
-        return HsiCube(data=data.copy(), band_meta=band_meta)
+        # HsiCube's float64 C-order conversion is the one transposing copy
+        return HsiCube(data=data, band_meta=band_meta)
     except ValueError as exc:
         raise CubeFormatError(f"{path}: {exc}") from None
 
@@ -263,18 +262,17 @@ def generate_synthetic_cube(x, y, bands, kappa_true, seed):
     data = np.empty((x, y, bands), dtype=np.float64)
     half = bands / 2.0
     for ix in range(x):
-        for iy in range(y):
-            support = _symmetric_support(bands, kappa_true, rng)
-            coeffs = np.zeros(bands, dtype=np.complex128)
-            for j in support:
+        coeffs = np.zeros((y, bands), dtype=np.complex128)
+        for pixel in coeffs:
+            for j in _symmetric_support(bands, kappa_true, rng):
                 mirror = (bands - j) % bands
                 if j == mirror:
                     # self-paired bin: the coefficient must be real
-                    coeffs[j] = rng.uniform(1.0, 2.0) * rng.choice((-1.0, 1.0))
+                    pixel[j] = rng.uniform(1.0, 2.0) * rng.choice((-1.0, 1.0))
                 elif j < half:
                     mag = rng.uniform(1.0, 2.0)
                     phase = rng.uniform(0.0, 2.0 * np.pi)
-                    coeffs[j] = mag * np.exp(1j * phase)
-                    coeffs[mirror] = np.conj(coeffs[j])
-            data[ix, iy, :] = (basis.matrix @ coeffs).real
+                    pixel[j] = mag * np.exp(1j * phase)
+                    pixel[mirror] = np.conj(pixel[j])
+        data[ix], _ = from_sparse_domain(coeffs, basis)
     return HsiCube(data=data)

@@ -38,42 +38,45 @@ def build_dft_basis(n):
     return DftBasis(n=n, matrix=scipy.linalg.dft(n, scale="sqrtn"))
 
 
+def _apply(matrix, v, what):
+    """matrix @ v for each vector on v's last axis: one matrix-vector product
+    per vector, so a stack is bit for bit the per-vector results."""
+    v = np.asarray(v)
+    if v.shape[-1:] != (matrix.shape[1],):
+        raise ValueError(f"{what} length does not match the basis")
+    return np.matmul(matrix, v[..., None])[..., 0]
+
+
 def to_sparse_domain(f, basis):
-    """Inverse-DFT representation x of a spectrum f (x = basis^H f)."""
-    f = np.asarray(f)
-    if f.shape != (basis.n,):
-        raise ValueError("spectrum length does not match the basis")
-    return basis.matrix.conj().T @ f
+    """Inverse-DFT representation x = basis^H f of each spectrum on f's last axis."""
+    return _apply(basis.matrix.conj().T, f, "spectrum")
 
 
 def from_sparse_domain(x, basis):
-    """Spectrum for a sparse-domain vector x.
+    """Spectrum for each sparse-domain vector on x's last axis.
 
-    Returns (real part of basis @ x, largest imaginary magnitude).  The
-    imaginary residue is diagnostic: it stays near machine precision when x
-    is conjugate-symmetric, i.e. came from a real spectrum.
+    Returns (real part of basis @ x, largest imaginary magnitude per vector).
+    The imaginary residue is diagnostic: it stays near machine precision
+    when x is conjugate-symmetric, i.e. came from a real spectrum.
     """
-    x = np.asarray(x)
-    if x.shape != (basis.n,):
-        raise ValueError("vector length does not match the basis")
-    f = basis.matrix @ x
-    residue = float(np.abs(f.imag).max()) if basis.n else 0.0
-    return f.real.copy(), residue
+    f = _apply(basis.matrix, x, "vector")
+    # max |imag| from two reductions, with no stack-sized |imag| temporary
+    return f.real.copy(), np.maximum(f.imag.max(axis=-1), -f.imag.min(axis=-1))
 
 
 @dataclass
 class SparsifyStats:
-    """Magnitude statistics recorded while sparsifying one vector."""
+    """Magnitude statistics of sparsify: one value per vector (arrays for a stack)."""
 
-    mean_magnitude: float
-    std_magnitude: float
-    zero_fraction: float
+    mean_magnitude: float | np.ndarray
+    std_magnitude: float | np.ndarray
+    zero_fraction: float | np.ndarray
     threshold_factor: float
 
 
 def sparsify(x, factor):
     """Zero the entries of x whose magnitude sits within factor standard
-    deviations of the mean magnitude.
+    deviations of the mean magnitude, per vector of an (..., n) stack.
 
     Entry i is zeroed when |x_i| - mean < factor * std (population std of
     |x|).  Kept entries are returned bit-identical.  A constant-magnitude
@@ -85,17 +88,16 @@ def sparsify(x, factor):
     if x.size == 0:
         raise ValueError("cannot sparsify an empty vector")
     mags = np.abs(x)
-    mean = float(mags.mean())
-    std = float(mags.std())
-    keep = (mags - mean) >= factor * std
-    out = np.where(keep, x, 0)
+    mean = mags.mean(axis=-1)
+    std = mags.std(axis=-1)
+    keep = (mags - mean[..., None]) >= factor * std[..., None]
     stats = SparsifyStats(
         mean_magnitude=mean,
         std_magnitude=std,
-        zero_fraction=1.0 - float(keep.mean()),
+        zero_fraction=1.0 - keep.mean(axis=-1),
         threshold_factor=factor,
     )
-    return out, stats
+    return np.where(keep, x, 0), stats
 
 
 @dataclass
@@ -167,11 +169,12 @@ def load_mask(path):
 
 
 def measure(f, mask):
-    """Subsample a spectrum: y = f[mask.indices], promoted to complex."""
-    f = np.asarray(f, dtype=np.complex128)
-    if f.shape != (mask.n,):
+    """Subsample a spectrum, or every spectrum of an (..., n) stack:
+    y = f[..., mask.indices], promoted to complex."""
+    f = np.asarray(f)
+    if f.shape[-1:] != (mask.n,):
         raise ValueError("spectrum length does not match the mask")
-    return f[mask.indices]
+    return f[..., mask.indices].astype(np.complex128, copy=False)
 
 
 def lipschitz_constant(matrix, max_iter=POWER_ITER_CAP, rtol=POWER_ITER_RTOL):
@@ -220,7 +223,8 @@ def lipschitz_constant(matrix, max_iter=POWER_ITER_CAP, rtol=POWER_ITER_RTOL):
 
 @dataclass
 class Dictionary:
-    """Measurement dictionary A (selected DFT rows) with cached solver state.
+    """Measurement dictionary A with cached solver state: the basis rows a
+    mask keeps (build_dictionary), or any dense matrix (from_matrix).
 
     lipschitz holds the power-iteration estimate of the largest eigenvalue
     of A^H A; for any row selection of a unitary basis it equals 1.  The
@@ -232,8 +236,6 @@ class Dictionary:
 
     matrix: np.ndarray
     lipschitz: float
-    mask: SelectionMask | None = None
-    basis: DftBasis | None = None
     _admm_factors: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -271,18 +273,9 @@ class Dictionary:
         return factor
 
 
-def build_dictionary(basis, mask, alpha=None):
-    """Dictionary of the basis rows kept by the mask; optionally pre-factor
-    the ADMM system for one alpha."""
+def build_dictionary(basis, mask):
+    """Dictionary of the basis rows kept by the mask."""
     if mask.n != basis.n:
         raise ValueError("mask and basis sizes differ")
     rows = basis.matrix[mask.indices]
-    d = Dictionary(
-        matrix=rows,
-        lipschitz=lipschitz_constant(rows),
-        mask=mask,
-        basis=basis,
-    )
-    if alpha is not None:
-        d.admm_factor(alpha)
-    return d
+    return Dictionary(matrix=rows, lipschitz=lipschitz_constant(rows))

@@ -10,6 +10,8 @@ import pytest
 
 from hypercs import (
     SOLVERS,
+    CubeFormat,
+    HsiCube,
     NumericalFailure,
     SolverConfig,
     build_dft_basis,
@@ -71,6 +73,35 @@ class TestSparsify:
         )
         assert code == EXIT_OK
         assert load_cube(run_dir / "sparsified.hsc").bands == 16
+
+    def test_native_format_reads_f32_cubes(self, tmp_path):
+        cube = generate_synthetic_cube(2, 2, 16, 2, seed=1)
+        path = tmp_path / "cube32.hsc"
+        save_cube(cube, path, CubeFormat(element_type="f32"))
+        for fmt in ("auto", "native"):
+            run_dir = tmp_path / fmt
+            code = main(["sparsify", "--input", str(path), "--format", fmt, "--out", str(run_dir)])
+            assert code == EXIT_OK
+        assert (tmp_path / "auto/sparsified.hsc").read_bytes() == (
+            tmp_path / "native/sparsified.hsc"
+        ).read_bytes()
+
+    def test_zero_fraction_counts_every_pixel(self, tmp_path):
+        # 20 bands, so per-pixel fractions k/20 are inexact in binary; the
+        # all-zero pixel keeps all of its (zero) entries
+        data = generate_synthetic_cube(5, 4, 20, 3, seed=8).data
+        data[1, 2] = 0.0
+        data[3, 0] += np.random.default_rng(0).standard_normal(20)
+        save_cube(HsiCube(data=data), tmp_path / "cube.hsc")
+        args = ["--input", str(tmp_path / "cube.hsc"), "--out", str(tmp_path / "run")]
+        assert main(["sparsify", *args, "--T", "0.3"]) == EXIT_OK
+        stats = json.loads((tmp_path / "run/sparsify_stats.json").read_text())
+        zeroed = 0
+        basis = build_dft_basis(20)
+        for spectrum in data.reshape(-1, 20):
+            mags = np.abs(basis.matrix.conj().T @ spectrum)
+            zeroed += np.count_nonzero(mags - mags.mean() < 0.3 * mags.std())
+        assert stats["zero_fraction"] == zeroed / data.size
 
     def test_missing_input_flag(self, tmp_path):
         assert main(["sparsify", "--out", str(tmp_path)]) == EXIT_CONFIG

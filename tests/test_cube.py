@@ -170,6 +170,13 @@ class TestEnviReader:
         with pytest.raises(CubeFormatError):
             load_cube(path)
 
+    def test_negative_header_offset_rejected(self, tmp_path, data):
+        path = write_envi(tmp_path, "cube", data)
+        header = tmp_path / "cube.raw.hdr"
+        header.write_text(header.read_text().replace("header offset = 0", "header offset = -16"))
+        with pytest.raises(CubeFormatError):
+            load_cube(path)
+
     def test_short_data_file_rejected(self, tmp_path, data):
         path = write_envi(tmp_path, "cube", data)
         payload = path.read_bytes()

@@ -131,6 +131,60 @@ class TestSparsify:
             sparsify(np.array([]), 0.1)
 
 
+class TestStacks:
+    """Each transform function on an (x, y, n) stack equals one call per vector."""
+
+    @pytest.fixture
+    def spectra(self):
+        f = np.random.default_rng(7).standard_normal((3, 4, 12))
+        f[0, 1] = 0.0  # all-zero pixel: std 0, every entry kept
+        return f
+
+    def test_to_and_from_sparse_domain(self, spectra):
+        basis = build_dft_basis(12)
+        coeffs = to_sparse_domain(spectra, basis)
+        back, residues = from_sparse_domain(coeffs, basis)
+        assert coeffs.shape == spectra.shape and residues.shape == (3, 4)
+        for ix, iy in np.ndindex(3, 4):
+            assert np.array_equal(coeffs[ix, iy], to_sparse_domain(spectra[ix, iy], basis))
+            one, residue = from_sparse_domain(coeffs[ix, iy], basis)
+            assert np.array_equal(back[ix, iy], one) and residues[ix, iy] == residue
+
+    def test_sparsify(self, spectra):
+        coeffs = to_sparse_domain(spectra, build_dft_basis(12))
+        coeffs[2, 3] = 5.0 * np.array([1.0, -1.0, 1.0j, -1.0j] * 3)  # constant magnitude
+        out, stats = sparsify(coeffs, 0.4)
+        for ix, iy in np.ndindex(3, 4):
+            one, one_stats = sparsify(coeffs[ix, iy], 0.4)
+            assert np.array_equal(out[ix, iy], one)
+            assert stats.mean_magnitude[ix, iy] == one_stats.mean_magnitude
+            assert stats.std_magnitude[ix, iy] == one_stats.std_magnitude
+            assert stats.zero_fraction[ix, iy] == one_stats.zero_fraction
+            assert stats.threshold_factor == one_stats.threshold_factor
+        assert stats.zero_fraction[0, 1] == 0.0 and stats.std_magnitude[0, 1] == 0.0
+        assert stats.zero_fraction[2, 3] == 0.0 and stats.std_magnitude[2, 3] == 0.0
+        assert np.all(stats.zero_fraction[[0, 1, 2], [0, 0, 0]] > 0.0)
+
+    def test_measure(self, spectra):
+        mask = build_selection_mask(12, 0.4, 3)
+        y = measure(spectra, mask)
+        assert y.shape == (3, 4, 5) and y.dtype == np.complex128
+        for ix, iy in np.ndindex(3, 4):
+            assert np.array_equal(y[ix, iy], measure(spectra[ix, iy], mask))
+
+    def test_wrong_last_axis_rejected(self):
+        basis = build_dft_basis(12)
+        stack = np.ones((2, 3, 11))
+        with pytest.raises(ValueError):
+            to_sparse_domain(stack, basis)
+        with pytest.raises(ValueError):
+            from_sparse_domain(stack, basis)
+        with pytest.raises(ValueError):
+            measure(stack, build_selection_mask(12, 0.4, 0))
+        with pytest.raises(ValueError):
+            sparsify(np.ones((2, 0)), 0.1)
+
+
 class TestSelectionMask:
     def test_rounding_half_away_from_zero(self):
         assert build_selection_mask(224, 0.4, 1).m == 90  # 89.6 rounds to 90
