@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .cube import CubeFormat, CubeFormatError, HsiCube, load_cube, save_cube
+from .kernels import one_blas_thread
 from .metrics import (
     PEAK_CONVENTIONS,
     SummaryRow,
@@ -77,7 +78,7 @@ def save_measurements(path, measurements, n):
     with open(path, "wb") as fh:
         fh.write(MEAS_MAGIC)
         fh.write(MEAS_HEADER.pack(x, y, m, n))
-        fh.write(meas.tobytes())
+        meas.tofile(fh)
 
 
 def load_measurements(path):
@@ -171,7 +172,7 @@ def _write_pixel_log(path, stats, y_dim):
                 )
 
 
-def run_recover(run_dir, algorithm, config, jobs, dataset=None):
+def run_recover(run_dir, algorithm, config, jobs, dataset=None, blas_threads=None):
     run_dir = Path(run_dir)
     measurements, n = load_measurements(run_dir / MEASUREMENTS_FILE)
     try:
@@ -207,6 +208,7 @@ def run_recover(run_dir, algorithm, config, jobs, dataset=None):
         "mean_iterations_per_pixel": stats.total_iterations / stats.n_pixels,
         "convergence_pct": stats.convergence_pct,
         "recovery_time_s": stats.recovery_time_s,
+        "blas_threads": blas_threads,
         "recovered_file": f"recovered_{tag}.hsc",
         "pixels_file": f"pixels_{tag}.csv",
         "config": asdict(config),
@@ -272,11 +274,7 @@ def _parse_floats(text):
 
 
 def _parse_ints(text):
-    values = []
-    for tok in re.split(r"[,\s]+", str(text).strip()):
-        if tok:
-            values.append(int(tok))
-    return values
+    return [int(tok) for tok in re.split(r"[,\s]+", str(text).strip()) if tok]
 
 
 def _load_config_file(path):
@@ -443,6 +441,7 @@ def cmd_recover(args):
         config=configs[0],
         jobs=_resolve_jobs(settings),
         dataset=settings.get("dataset"),
+        blas_threads=args.blas_threads,
     )
     return EXIT_PARTIAL if stats.n_failed else EXIT_OK
 
@@ -478,7 +477,7 @@ def cmd_bench(args):
     tags = []
     for algo in algos:
         for config in _solver_params(settings, algo):
-            stats, tag = run_recover(out_dir, algo, config, jobs, dataset=dataset)
+            stats, tag = run_recover(out_dir, algo, config, jobs, dataset, args.blas_threads)
             failed += stats.n_failed
             tags.append(tag)
     run_report(
@@ -488,15 +487,11 @@ def cmd_bench(args):
         peak=settings.get("psnr_peak", default="abs-max"),
     )
     if bands is not None:
-        originals = {
-            "original": load_cube(settings.require("input")),
-            "sparsified": load_cube(out_dir / SPARSIFIED_FILE),
-        }
-        for name, cube in originals.items():
-            export_false_color(cube, bands, out_dir / f"falsecolor_{name}.ppm")
-        for tag in tags:
-            cube = load_cube(out_dir / f"recovered_{tag}.hsc")
-            export_false_color(cube, bands, out_dir / f"falsecolor_{tag}.ppm")
+        # one cube in memory at a time
+        sources = {"original": settings.require("input"), "sparsified": out_dir / SPARSIFIED_FILE}
+        sources.update((tag, out_dir / f"recovered_{tag}.hsc") for tag in tags)
+        for name, path in sources.items():
+            export_false_color(load_cube(path), bands, out_dir / f"falsecolor_{name}.ppm")
         print(f"[export] wrote {2 + len(tags)} false-color images")
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -583,12 +578,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+    args.blas_threads = one_blas_thread()
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CubeFormatError, PipelineFileError, OSError) as exc:

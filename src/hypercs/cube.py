@@ -103,7 +103,7 @@ def save_cube(cube, path, fmt=None):
     with open(path, "wb") as fh:
         fh.write(NATIVE_MAGIC)
         fh.write(NATIVE_HEADER.pack(cube.x, cube.y, cube.bands))
-        fh.write(payload.tobytes())
+        payload.tofile(fh)
 
 
 def load_cube(path, fmt=None):

@@ -4,6 +4,9 @@ Vectors may be real or complex; everything is computed in double precision.
 A "support" is a sorted 1-D integer array of distinct column indexes.
 """
 
+import ctypes
+import os
+
 import numpy as np
 import scipy.linalg
 
@@ -13,6 +16,51 @@ RANK_RTOL = 1e-10
 # gram_least_squares' Cholesky factor; full-rank greedy supports sit above
 # 0.08 and supports that least_squares finds rank deficient below 1e-7
 GRAM_RTOL = 1e-5
+
+PROC_MAPS = "/proc/self/maps"
+# the thread-count (setter, getter) of numpy's, scipy's and a plain OpenBLAS
+OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def openblas_libraries():
+    """(path, setter, getter) of each loaded OpenBLAS that exports a known pair."""
+    try:
+        with open(PROC_MAPS, encoding="utf-8", errors="replace") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:  # RTLD_NOLOAD: a library this process has loaded already, or none
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        pairs = [(lib[s], lib[g]) for s, g in OPENBLAS_THREAD_SYMBOLS if hasattr(lib, s) and hasattr(lib, g)]
+        for setter, getter in pairs[:1]:  # void set(int), int get(void)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            found.append((path, setter, getter))
+    return found
+
+
+def one_blas_thread():
+    """Run every loaded OpenBLAS on one thread; returns the counts it leaves.
+
+    The solvers' products are too small to gain from a second thread.  The
+    setter runs only where the count is not 1: forked pool workers inherit
+    1, and setting it again there is not free.  Nothing is restored, since
+    a restored count starts a spinning thread that slows what comes next.
+    """
+    counts = []
+    for _, setter, getter in openblas_libraries():
+        if getter() != 1:
+            setter(1)
+        counts.append(getter())
+    return counts
 
 
 def soft_threshold(v, t):

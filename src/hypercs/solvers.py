@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import argmax_k, gram_least_squares, least_squares, residual_delta, soft_threshold
+from .kernels import argmax_k, gram_least_squares, least_squares, one_blas_thread, residual_delta, soft_threshold
 
 
 class NumericalFailure(RuntimeError):
@@ -512,13 +512,7 @@ def cosamp(y, dictionary, config):
     return _solve_pixel(y, dictionary, config, _CosampBlock)
 
 
-SOLVERS = {
-    "fista": fista,
-    "admm": admm,
-    "gomp": gomp,
-    "biht": biht,
-    "cosamp": cosamp,
-}
+SOLVERS = {solve.__name__: solve for solve in (fista, admm, gomp, biht, cosamp)}
 CONVEX_SOLVERS = ("fista", "admm")
 GREEDY_SOLVERS = ("gomp", "biht", "cosamp")
 
@@ -537,10 +531,9 @@ _BLOCK_TYPES = {
 }
 
 
-def _pool_init(dictionary, config, algorithm):
-    _POOL["dictionary"] = dictionary
-    _POOL["config"] = config
-    _POOL["block_type"] = _BLOCK_TYPES[algorithm]
+def _pool_init(dictionary, config, block_type):
+    one_blas_thread()  # a worker process is the toolkit's own, unlike its parent
+    _POOL.update(dictionary=dictionary, config=config, block_type=block_type)
 
 
 def _tile_solve(ys):
@@ -553,11 +546,11 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
 
     Returns (sparse-domain cube of shape (x, y, n), RecoveryStats of the
     pixels in raster order, x-major).  A pixel whose solver fails
-    numerically is flagged and left at zero; the cube is never aborted.  Every solver solves tiles of at most TILE_PIXELS
-    consecutive pixels as one block; with jobs > 1 the tiles are
-    distributed over worker processes.  Every pixel keeps its own stop
-    rule, so the iteration counts equal those of per-pixel solver calls;
-    greedy coefficients are identical and convex ones agree to round-off.
+    numerically is flagged and left at zero; the cube is never aborted.  Tiles of at most
+    TILE_PIXELS consecutive pixels are solved as one block; with jobs > 1 they go to worker
+    processes, each on one OpenBLAS thread, and the caller's threading is left as found.
+    Every pixel keeps its own stop rule, so the iteration counts equal those of per-pixel
+    solver calls; greedy coefficients are identical and convex ones agree to round-off.
     """
     if algorithm not in SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -589,15 +582,14 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
             cube[first : first + solution.shape[1]] = solution.T
             stats.put(first, tile_stats)
 
+    block_type = _BLOCK_TYPES[algorithm]
     if jobs == 1:
-        _pool_init(dictionary, config, algorithm)
-        fill(map(_tile_solve, tiles))
-        _POOL.clear()
+        fill(_solve_block(ys.T, dictionary, config, block_type) for ys in tiles)
     else:
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_pool_init,
-            initargs=(dictionary, config, algorithm),
+            initargs=(dictionary, config, block_type),
         ) as pool:
             fill(pool.map(_tile_solve, tiles))
     return cube.reshape(x_dim, y_dim, dictionary.n), stats

@@ -32,6 +32,7 @@ from hypercs.cli import (
     main,
     save_measurements,
 )
+from hypercs.kernels import openblas_libraries
 
 from helpers import write_envi
 
@@ -402,6 +403,18 @@ class TestBench:
             assert (a.algorithm, a.param_label, a.psnr_db, a.total_iterations) == (
                 b.algorithm, b.param_label, b.psnr_db, b.total_iterations
             )
+
+    def test_run_record_holds_the_blas_thread_counts(self, cube_file, tmp_path):
+        out = tmp_path / "bench"
+        code = main(
+            ["bench", "--input", str(cube_file), "--out", str(out), "--algo", "gomp",
+             "--kappa", "2", "--algo", "admm", "--t-conv", "0", "--max-iter", "50"]
+        )
+        assert code == EXIT_OK
+        for tag in ("gomp_kappa2", "admm_lambda0.1"):
+            meta = json.loads((out / f"run_{tag}.json").read_text())
+            # one entry per OpenBLAS found, [] where none is
+            assert meta["blas_threads"] == [1] * len(openblas_libraries())
 
     def test_export_bands_needs_three_indexes(self, cube_file, tmp_path):
         code = main(

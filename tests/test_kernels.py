@@ -7,11 +7,16 @@ from hypercs import (
     Dictionary,
     SolverConfig,
     argmax_k,
+    generate_synthetic_cube,
     gram_least_squares,
     least_squares,
     residual_delta,
+    save_cube,
     soft_threshold,
 )
+from hypercs import kernels
+from hypercs.cli import EXIT_OK, main
+from hypercs.kernels import OPENBLAS_THREAD_SYMBOLS, one_blas_thread, openblas_libraries
 from hypercs.solvers import _CosampBlock
 
 from helpers import partial_fourier
@@ -177,3 +182,92 @@ class TestResidualDelta:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             residual_delta(np.ones(2), np.ones(3))
+
+
+class FakeOpenblas:
+    """A loaded library exporting one thread-count (setter, getter) pair."""
+
+    def __init__(self, threads, pair):
+        self.threads = threads
+        self.set_calls = []
+
+        def set_num_threads(count):
+            self.set_calls.append(count)
+            self.threads = count
+
+        self.functions = {pair[0]: set_num_threads, pair[1]: lambda: self.threads}
+
+    def __getattr__(self, name):
+        try:
+            return self.functions[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    __getitem__ = __getattr__
+
+
+def write_maps(path, libraries):
+    """A /proc/<pid>/maps-style file mapping each library twice."""
+    lines = ["55d0-55d1 r--p 00000000 08:01 11 /usr/bin/python3.11"]
+    for inode, name in enumerate(libraries, start=20):
+        lines.append(f"7f10-7f20 r--p 00000000 08:01 {inode} {name}")
+        lines.append(f"7f20-7f30 r-xp 00010000 08:01 {inode} {name}")
+    lines.append("7ffc-7ffd rw-p 00000000 00:00 0 [stack]")
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestOneBlasThread:
+    def test_sets_only_libraries_not_on_one_thread(self, tmp_path, monkeypatch):
+        libraries = {
+            "/site/numpy.libs/libscipy_openblas64_-a1.so": FakeOpenblas(2, OPENBLAS_THREAD_SYMBOLS[0]),
+            "/site/scipy.libs/libscipy_openblas-b2.so": FakeOpenblas(1, OPENBLAS_THREAD_SYMBOLS[1]),
+            "/usr/lib/libopenblas.so.0": FakeOpenblas(4, OPENBLAS_THREAD_SYMBOLS[2]),
+            "/usr/lib/libopenblas_nothreads.so": FakeOpenblas(3, ("set_other", "get_other")),
+        }
+        maps = tmp_path / "maps"
+        write_maps(maps, [*libraries, "/usr/lib/libopenblas_gone.so (deleted)"])
+
+        def cdll(path, mode):
+            if path not in libraries:
+                raise OSError(f"{path}: cannot open shared object file")
+            return libraries[path]
+
+        monkeypatch.setattr(kernels, "PROC_MAPS", str(maps))
+        monkeypatch.setattr(kernels.ctypes, "CDLL", cdll)
+        # sorted by path: numpy's, scipy's, then the plain library
+        assert one_blas_thread() == [1, 1, 1]
+        calls = [lib.set_calls for lib in libraries.values()]
+        assert calls == [[1], [], [1], []]
+        assert libraries["/usr/lib/libopenblas_nothreads.so"].threads == 3
+        # a second call finds every count at one and sets nothing
+        assert one_blas_thread() == [1, 1, 1]
+        assert [lib.set_calls for lib in libraries.values()] == calls
+
+    @pytest.mark.parametrize("maps_text", [None, "", "7f10-7f20 r-xp 00000000 08:01 9 /usr/lib/libc.so.6\n"])
+    def test_unreadable_or_openblas_free_maps_is_a_no_op(self, tmp_path, monkeypatch, maps_text):
+        maps = tmp_path / "maps"
+        if maps_text is not None:
+            maps.write_text(maps_text)
+
+        def cdll(path, mode):
+            raise AssertionError(f"opened {path}")
+
+        monkeypatch.setattr(kernels, "PROC_MAPS", str(maps))
+        monkeypatch.setattr(kernels.ctypes, "CDLL", cdll)
+        assert openblas_libraries() == []
+        assert one_blas_thread() == []
+
+    def test_a_bench_command_leaves_every_library_on_one_thread(self, tmp_path):
+        libraries = openblas_libraries()
+        if not libraries:
+            pytest.skip("no loaded OpenBLAS exports a known thread-count pair")
+        for _, setter, _ in libraries:
+            setter(2)
+        cube_file = tmp_path / "cube.hsc"
+        save_cube(generate_synthetic_cube(4, 3, 24, 2, seed=5), cube_file)
+        code = main(
+            ["bench", "--input", str(cube_file), "--out", str(tmp_path / "bench"),
+             "--algo", "fista", "--lambda", "0.1", "--t-conv", "0", "--max-iter", "50"]
+        )
+        assert code == EXIT_OK
+        assert [getter() for _, _, getter in openblas_libraries()] == [1] * len(libraries)
