@@ -7,7 +7,6 @@ result against the sparsified cube.
 """
 
 from .cube import (
-    CubeFormat,
     CubeFormatError,
     HsiCube,
     extract_pixel,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONVEX_SOLVERS",
-    "CubeFormat",
     "CubeFormatError",
     "DftBasis",
     "Dictionary",

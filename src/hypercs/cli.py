@@ -1,9 +1,10 @@
 """Command-line pipeline: sparsify -> compress -> recover -> report.
 
 Each stage reads and writes files in a run directory so the stages compose:
-`bench` simply chains them in-process.  Numeric flags may also come from an
-INI-style config file (section [run] plus one section per algorithm); flags
-given on the command line win over file values.
+`bench` simply chains them in-process.  Every option is declared once, in
+OPTIONS; its value may also come from an INI-style config file (section
+[run] plus one section per algorithm), and a flag given on the command line
+wins over a file value.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 4 completed with pixels that failed numerically.
@@ -18,12 +19,13 @@ import os
 import re
 import struct
 import sys
-from dataclasses import asdict
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cube import CubeFormat, CubeFormatError, HsiCube, load_cube, save_cube
+from .cube import CubeFormatError, HsiCube, load_cube, save_cube
 from .kernels import one_blas_thread
 from .metrics import (
     PEAK_CONVENTIONS,
@@ -98,9 +100,8 @@ def load_measurements(path):
 # ---------------------------------------------------------------- stages
 
 
-def run_sparsify(input_path, fmt_name, factor, out_dir, peak, dataset=None):
-    fmt = None if fmt_name in (None, "auto") else CubeFormat(kind=fmt_name)
-    cube = load_cube(input_path, fmt)
+def run_sparsify(input_path, out_dir, kind="auto", factor=0.1, peak="abs-max", dataset=None):
+    cube = load_cube(input_path, None if kind == "auto" else kind)
     basis = build_dft_basis(cube.bands)
     data = np.empty_like(cube.data)
     zero_fractions = np.empty(cube.data.shape[:2])
@@ -131,7 +132,7 @@ def run_sparsify(input_path, fmt_name, factor, out_dir, peak, dataset=None):
     return stats
 
 
-def run_compress(out_dir, ratio, seed, cube_path=None):
+def run_compress(out_dir, ratio=0.4, seed=0, cube_path=None):
     out_dir = Path(out_dir)
     cube = load_cube(cube_path or out_dir / SPARSIFIED_FILE)
     mask = build_selection_mask(cube.bands, ratio, seed)
@@ -190,7 +191,10 @@ def run_recover(run_dir, algorithm, config, jobs, dataset=None, blas_threads=Non
     basis = build_dft_basis(n)
     dictionary = build_dictionary(basis, mask)
     sparse_cube, stats = recover_cube(measurements, dictionary, config, algorithm, jobs)
-    spectra, _ = from_sparse_domain(sparse_cube, basis)
+    spectra = np.empty(sparse_cube.shape)
+    # per x-line: the whole cube's complex spectra would double the peak
+    for ix, line in enumerate(sparse_cube):
+        spectra[ix], _ = from_sparse_domain(line, basis)
 
     tag = _tag(algorithm, config)
     save_cube(HsiCube(data=spectra), run_dir / f"recovered_{tag}.hsc")
@@ -221,8 +225,9 @@ def run_recover(run_dir, algorithm, config, jobs, dataset=None, blas_threads=Non
     return stats, tag
 
 
-def run_report(run_dir, out_path, dataset=None, peak="abs-max"):
+def run_report(run_dir, out_path=None, dataset=None, peak="abs-max"):
     run_dir = Path(run_dir)
+    out_path = out_path or run_dir / REPORT_FILE
     sparsified = load_cube(run_dir / SPARSIFIED_FILE)
     rows = []
     for meta_path in sorted(run_dir.glob("run_*.json")):
@@ -266,15 +271,89 @@ def run_report(run_dir, out_path, dataset=None, peak="abs-max"):
     return rows
 
 
-# ------------------------------------------------------- flag resolution
+# ------------------------------------------------------------- options
+
+
+def _split(text):
+    return [tok for tok in re.split(r"[,\s]+", str(text).strip()) if tok]
 
 
 def _parse_floats(text):
-    return [float(tok) for tok in re.split(r"[,\s]+", str(text).strip()) if tok]
+    return [float(tok) for tok in _split(text)]
 
 
 def _parse_ints(text):
-    return [int(tok) for tok in re.split(r"[,\s]+", str(text).strip()) if tok]
+    return [int(tok) for tok in _split(text)]
+
+
+def _parse_algos(text):
+    algos = _split(text)
+    for algo in algos:
+        if algo not in SOLVERS:
+            raise argparse.ArgumentTypeError(f"unknown algorithm {algo!r}")
+    return algos
+
+
+def _parse_band_triple(text):
+    bands = _parse_ints(text)
+    if len(bands) != 3:
+        raise argparse.ArgumentTypeError("needs exactly three band indexes")
+    return bands
+
+
+@dataclass(frozen=True)
+class Option:
+    """One command-line option.
+
+    Its config-file key is the flag's name in lower case with "-" as "_"
+    (flag --x-y, key x_y).  Solver options are read from the [<algo>] section
+    before [run].  param is the stage or SolverConfig parameter that the
+    value sets, where that is not the key.
+    """
+
+    flag: str
+    help: str
+    type: Callable = str
+    choices: tuple | None = None
+    param: str | None = None
+    solver: bool = False
+    action: str = "store"
+
+    @property
+    def key(self):
+        return self.flag.lstrip("-").lower().replace("-", "_")
+
+
+OPTIONS = {
+    option.key: option
+    for option in (
+        Option("--input", "input cube file or run directory"),
+        Option("--out", "output directory or file"),
+        Option("--config", "INI config file ([run] plus per-algorithm sections)"),
+        Option("--dataset", "dataset name used in report rows"),
+        Option("--psnr-peak", "peak convention for PSNR", choices=PEAK_CONVENTIONS, param="peak"),
+        Option("--format", "input cube format", choices=("auto", "native", "envi"), param="kind"),
+        Option("--T", "sparsification factor", float, param="factor"),
+        Option("--cube", "cube to compress (default: sparsified.hsc in the run dir)"),
+        Option("--ratio", "fraction of bands to keep", float),
+        Option("--seed", "mask seed", int),
+        Option("--export-bands", "three band indexes for false-color PPMs", _parse_band_triple),
+        Option("--algo", "solver(s), comma separated: " + ", ".join(sorted(SOLVERS)), _parse_algos,
+               action="extend"),
+        Option("--lambda", "l1 weight(s), comma separated", _parse_floats, param="lam", solver=True),
+        Option("--kappa", "sparsity target(s), comma separated", _parse_ints, solver=True),
+        Option("--G", "atoms gomp adds per iteration", int, param="atoms_per_iter", solver=True),
+        Option("--mu", "biht gradient step factor", float, solver=True),
+        Option("--alpha", "admm quadratic penalty", float, solver=True),
+        Option("--epsilon", "residual-delta convergence threshold", float, solver=True),
+        Option("--t-conv", "time budget in seconds (<= 0 disables)", float, param="time_limit",
+               solver=True),
+        Option("--max-iter", "iteration cap (0 means unlimited)", int, solver=True),
+        Option("--jobs", f"worker processes, 0 = auto (env {JOBS_ENV})", int),
+    )
+}
+
+SOLVER_OPTIONS = ["algo", "lambda", "kappa", "g", "mu", "alpha", "epsilon", "t_conv", "max_iter", "jobs"]
 
 
 def _load_config_file(path):
@@ -290,124 +369,86 @@ def _load_config_file(path):
 
 
 class Settings:
-    """CLI flags override config-file values override defaults.
-
-    Algorithm sections ([fista], [gomp], ...) specialize the [run] section.
-    """
+    """A flag wins over the config file's [<algo>] section (solver options
+    only), which wins over its [run] section; a value none of them gives is
+    None."""
 
     def __init__(self, args):
         self.args = args
-        self.file = _load_config_file(getattr(args, "config", None))
+        self.file = _load_config_file(args.config)
 
-    def get(self, key, default=None, cast=None, algo=None, file_key=None):
+    def get(self, key, algo=None):
         value = getattr(self.args, key, None)
         if value is not None:
-            return value  # argparse already applied the flag's type
-        file_key = file_key or key
-        for section in ([algo] if algo else []) + ["run"]:
-            raw = self.file.get(section, {}).get(file_key)
-            if raw is not None:
-                if cast is None:
-                    return raw
-                try:
-                    return cast(raw)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad value for {key}: {exc}") from None
-        return default
+            return value  # argparse already parsed and checked the flag
+        option = OPTIONS[key]
+        for section in ([algo] if algo and option.solver else []) + ["run"]:
+            raw = self.file.get(section, {}).get(key)
+            if raw is None:
+                continue
+            try:
+                value = option.type(raw)
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"bad value for {key}: {exc}") from None
+            if option.choices and value not in option.choices:
+                raise ConfigError(f"bad value for {key}: {raw!r} is not one of {option.choices}")
+            return value
+        return None
 
-    def require(self, key, cast=None, algo=None, file_key=None):
-        value = self.get(key, cast=cast, algo=algo, file_key=file_key)
+    def require(self, key, algo=None):
+        value = self.get(key, algo)
         if value is None:
-            raise ConfigError(f"missing required parameter --{key.replace('_', '-')}")
+            raise ConfigError(f"missing required parameter {OPTIONS[key].flag}")
         return value
+
+    def given(self, keys, algo=None):
+        """{parameter name: value} of the keys that a flag or the file gives,
+        so that the callee's own defaults fill in the rest."""
+        values = {OPTIONS[key].param or key: self.get(key, algo) for key in keys}
+        return {name: value for name, value in values.items() if value is not None}
 
 
 def _resolve_jobs(settings):
-    jobs = settings.get("jobs", cast=int)
+    jobs = settings.get("jobs")
     if jobs is None:
-        env = os.environ.get(JOBS_ENV)
-        if env is not None:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ConfigError(f"bad {JOBS_ENV} value {env!r}") from None
-    if jobs is None:
-        jobs = 1
+        try:
+            jobs = int(os.environ.get(JOBS_ENV, 1))
+        except ValueError:
+            raise ConfigError(f"bad {JOBS_ENV} value {os.environ[JOBS_ENV]!r}") from None
     if jobs < 0:
         raise ConfigError("jobs must be >= 0")
     return jobs or None  # 0 means auto-detect
 
 
-def _solver_params(settings, algo):
-    """Build the SolverConfig(s) for one algorithm.
-
-    The swept parameter is lambda for the convex solvers and kappa for the
-    greedy ones; every other knob resolves to a single value.
-    """
-    if algo not in SOLVERS:
-        raise ConfigError(f"unknown algorithm {algo!r}")
-    base = dict(
-        mu=settings.get("mu", cast=float, algo=algo, default=0.1),
-        alpha=settings.get("alpha", cast=float, algo=algo, default=1.8),
-        epsilon=settings.get("epsilon", cast=float, algo=algo, default=1e-8),
-        seed=settings.get("seed", cast=int, default=0),
-    )
-    t_conv = settings.get("t_conv", cast=float, algo=algo, default=2.0)
-    base["time_limit"] = None if t_conv <= 0 else t_conv
-    max_iter = settings.get("max_iter", cast=int, algo=algo)
-    base["max_iter"] = None if max_iter in (None, 0) else max_iter
-
-    atoms = settings.get("atoms_per_iter", cast=int, algo=algo, file_key="g")
-    configs = []
+def _solver_configs(settings, algo):
+    """One SolverConfig per swept value of one algorithm: lambda for the
+    convex solvers, kappa (required) for the greedy ones.  Every other knob
+    takes one value, and SolverConfig holds every default."""
+    if algo in CONVEX_SOLVERS:
+        swept, keys = "lam", ["lambda"]
+    else:
+        settings.require("kappa", algo)
+        swept, keys = "kappa", ["kappa", "g"]
+    params = settings.given(keys + ["mu", "alpha", "epsilon", "t_conv", "max_iter"], algo)
+    if "time_limit" in params and params["time_limit"] <= 0:
+        params["time_limit"] = None  # a budget <= 0 disables it
+    if params.get("max_iter") == 0:
+        params["max_iter"] = None  # a cap of 0 means unlimited
+    points = [{swept: value} for value in params.pop(swept)] if swept in params else [{}]
     try:
-        if algo in CONVEX_SOLVERS:
-            lams = settings.get(
-                "lam", cast=_parse_floats, algo=algo, file_key="lambda", default=[0.1]
-            )
-            for lam in lams:
-                configs.append(SolverConfig(lam=lam, **base))
-        else:
-            kappas = settings.require("kappa", cast=_parse_ints, algo=algo)
-            for kappa in kappas:
-                configs.append(SolverConfig(kappa=kappa, atoms_per_iter=atoms, **base))
+        return [SolverConfig(**params, **point) for point in points]
     except ValueError as exc:
         raise ConfigError(f"{algo}: {exc}") from None
-    return configs
-
-
-def _algorithms(settings):
-    algos = settings.get("algos", file_key="algo")
-    if algos is None:
-        raise ConfigError("missing required parameter --algo")
-    if isinstance(algos, str):
-        algos = [tok for tok in re.split(r"[,\s]+", algos) if tok]
-    for algo in algos:
-        if algo not in SOLVERS:
-            raise ConfigError(f"unknown algorithm {algo!r}")
-    return algos
-
-
-def _export_bands(settings):
-    raw = settings.get("export_bands")
-    if raw is None:
-        return None
-    bands = _parse_ints(raw)
-    if len(bands) != 3:
-        raise ConfigError("--export-bands needs exactly three band indexes")
-    return bands
 
 
 # ------------------------------------------------------------ commands
 
 
 def _sparsify(settings):
-    run_sparsify(
-        input_path=settings.require("input"),
-        fmt_name=settings.get("fmt", file_key="format", default="auto"),
-        factor=settings.get("threshold_factor", cast=float, file_key="t", default=0.1),
-        out_dir=settings.require("out"),
-        peak=settings.get("psnr_peak", default="abs-max"),
-        dataset=settings.get("dataset"),
+    return run_sparsify(
+        settings.require("input"),
+        settings.require("out"),
+        **settings.given(["format", "t", "psnr_peak", "dataset"]),
     )
 
 
@@ -419,42 +460,28 @@ def cmd_sparsify(args):
 def cmd_compress(args):
     settings = Settings(args)
     run_compress(
-        out_dir=settings.require("input"),
-        ratio=settings.get("ratio", cast=float, default=0.4),
-        seed=settings.get("seed", cast=int, default=0),
-        cube_path=settings.get("cube"),
+        settings.require("input"), cube_path=settings.get("cube"), **settings.given(["ratio", "seed"])
     )
     return EXIT_OK
 
 
 def cmd_recover(args):
     settings = Settings(args)
-    algos = _algorithms(settings)
+    algos = settings.require("algo")
     if len(algos) != 1:
-        raise ConfigError("recover takes exactly one --algo")
-    configs = _solver_params(settings, algos[0])
+        raise ConfigError("recover takes exactly one algorithm")
+    configs = _solver_configs(settings, algos[0])
     if len(configs) != 1:
         raise ConfigError("recover takes a single parameter value; use bench to sweep")
-    stats, _ = run_recover(
-        run_dir=settings.require("input"),
-        algorithm=algos[0],
-        config=configs[0],
-        jobs=_resolve_jobs(settings),
-        dataset=settings.get("dataset"),
-        blas_threads=args.blas_threads,
-    )
+    stats, _ = run_recover(settings.require("input"), algos[0], configs[0], _resolve_jobs(settings),
+                           settings.get("dataset"), args.blas_threads)
     return EXIT_PARTIAL if stats.n_failed else EXIT_OK
 
 
 def cmd_report(args):
     settings = Settings(args)
-    run_dir = settings.require("input")
-    out_path = settings.get("out") or str(Path(run_dir) / REPORT_FILE)
     run_report(
-        run_dir=run_dir,
-        out_path=out_path,
-        dataset=settings.get("dataset"),
-        peak=settings.get("psnr_peak", default="abs-max"),
+        settings.require("input"), settings.get("out"), **settings.given(["dataset", "psnr_peak"])
     )
     return EXIT_OK
 
@@ -462,30 +489,26 @@ def cmd_report(args):
 def cmd_bench(args):
     settings = Settings(args)
     out_dir = Path(settings.require("out"))
-    algos = _algorithms(settings)
-    bands = _export_bands(settings)
-    dataset = settings.get("dataset")
-
-    _sparsify(settings)
-    run_compress(
-        out_dir=out_dir,
-        ratio=settings.get("ratio", cast=float, default=0.4),
-        seed=settings.get("seed", cast=int, default=0),
-    )
+    # every option is parsed before the first stage writes a file
+    runs = [(algo, config) for algo in settings.require("algo")
+            for config in _solver_configs(settings, algo)]
     jobs = _resolve_jobs(settings)
+    bands = settings.get("export_bands")
+    dataset = settings.get("dataset")
+    compress = settings.given(["ratio", "seed"])
+    report = settings.given(["dataset", "psnr_peak"])
+
+    n = _sparsify(settings)["bands"]
+    if bands is not None and not all(0 <= band < n for band in bands):
+        raise ConfigError(f"export band indexes must lie in [0, {n})")
+    run_compress(out_dir, **compress)
     failed = 0
     tags = []
-    for algo in algos:
-        for config in _solver_params(settings, algo):
-            stats, tag = run_recover(out_dir, algo, config, jobs, dataset, args.blas_threads)
-            failed += stats.n_failed
-            tags.append(tag)
-    run_report(
-        run_dir=out_dir,
-        out_path=out_dir / REPORT_FILE,
-        dataset=dataset,
-        peak=settings.get("psnr_peak", default="abs-max"),
-    )
+    for algo, config in runs:
+        stats, tag = run_recover(out_dir, algo, config, jobs, dataset, args.blas_threads)
+        failed += stats.n_failed
+        tags.append(tag)
+    run_report(out_dir, **report)
     if bands is not None:
         # one cube in memory at a time
         sources = {"original": settings.require("input"), "sparsified": out_dir / SPARSIFIED_FILE}
@@ -499,36 +522,19 @@ def cmd_bench(args):
 # -------------------------------------------------------------- parser
 
 
-def _add_common(parser, *names):
-    if "input" in names:
-        parser.add_argument("--input", help="input cube file or run directory")
-    if "out" in names:
-        parser.add_argument("--out", help="output directory or file")
-    if "config" in names:
-        parser.add_argument("--config", help="INI config file ([run] plus per-algorithm sections)")
-    if "dataset" in names:
-        parser.add_argument("--dataset", help="dataset name used in report rows")
-    if "psnr_peak" in names:
-        parser.add_argument(
-            "--psnr-peak",
-            dest="psnr_peak",
-            choices=PEAK_CONVENTIONS,
-            help="peak convention for PSNR (default abs-max)",
-        )
-
-
-def _add_solver_flags(parser):
-    parser.add_argument("--algo", dest="algos", action="append", choices=sorted(SOLVERS))
-    parser.add_argument("--lambda", dest="lam", type=_parse_floats, help="l1 weight(s), comma separated")
-    parser.add_argument("--kappa", dest="kappa", type=_parse_ints, help="sparsity target(s), comma separated")
-    parser.add_argument("--G", dest="atoms_per_iter", type=int, help="atoms gomp adds per iteration")
-    parser.add_argument("--mu", type=float, help="biht gradient step factor")
-    parser.add_argument("--alpha", type=float, help="admm quadratic penalty")
-    parser.add_argument("--epsilon", type=float, help="residual-delta convergence threshold")
-    parser.add_argument("--t-conv", dest="t_conv", type=float, help="time budget in seconds (<= 0 disables)")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap (0 means unlimited)")
-    parser.add_argument("--jobs", type=int, help=f"worker processes, 0 = auto (env {JOBS_ENV})")
-    parser.add_argument("--seed", type=int, help="run seed")
+COMMANDS = {  # name: (function, help, the options it takes)
+    "sparsify": (cmd_sparsify, "zero weak inverse-DFT coefficients of every pixel",
+                 ["input", "out", "config", "dataset", "psnr_peak", "format", "t"]),
+    "compress": (cmd_compress, "subsample the sparsified cube into measurements",
+                 ["input", "config", "cube", "ratio", "seed"]),
+    "recover": (cmd_recover, "solve every pixel from the stored measurements",
+                ["input", "config", "dataset", *SOLVER_OPTIONS]),
+    "bench": (cmd_bench, "full pipeline over every algorithm/parameter pair",
+              ["input", "out", "config", "dataset", "psnr_peak", "format", "t", "ratio", "seed",
+               "export_bands", *SOLVER_OPTIONS]),
+    "report": (cmd_report, "aggregate recovery records into a CSV report",
+               ["input", "out", "config", "dataset", "psnr_peak"]),
+}
 
 
 def build_parser():
@@ -537,38 +543,13 @@ def build_parser():
         description="Compressive-sensing pipeline for hyperspectral cubes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sparsify", help="zero weak inverse-DFT coefficients of every pixel")
-    _add_common(p, "input", "out", "config", "dataset", "psnr_peak")
-    p.add_argument("--format", dest="fmt", choices=("auto", "native", "envi"))
-    p.add_argument("--T", dest="threshold_factor", type=float, help="sparsification factor")
-    p.set_defaults(func=cmd_sparsify)
-
-    p = sub.add_parser("compress", help="subsample the sparsified cube into measurements")
-    _add_common(p, "input", "config")
-    p.add_argument("--cube", help="cube to compress (default: sparsified.hsc in the run dir)")
-    p.add_argument("--ratio", type=float, help="fraction of bands to keep")
-    p.add_argument("--seed", type=int, help="mask seed")
-    p.set_defaults(func=cmd_compress)
-
-    p = sub.add_parser("recover", help="solve every pixel from the stored measurements")
-    _add_common(p, "input", "config", "dataset")
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_recover)
-
-    p = sub.add_parser("bench", help="full pipeline over every algorithm/parameter pair")
-    _add_common(p, "input", "out", "config", "dataset", "psnr_peak")
-    p.add_argument("--format", dest="fmt", choices=("auto", "native", "envi"))
-    p.add_argument("--T", dest="threshold_factor", type=float, help="sparsification factor")
-    p.add_argument("--ratio", type=float, help="fraction of bands to keep")
-    p.add_argument("--export-bands", dest="export_bands", help="three band indexes for false-color PPMs")
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("report", help="aggregate recovery records into a CSV report")
-    _add_common(p, "input", "out", "config", "dataset", "psnr_peak")
-    p.set_defaults(func=cmd_report)
-
+    for name, (func, help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in keys:
+            option = OPTIONS[key]
+            p.add_argument(option.flag, dest=key, type=option.type, choices=option.choices,
+                           action=option.action, help=option.help)
+        p.set_defaults(func=func)
     return parser
 
 

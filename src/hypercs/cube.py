@@ -3,7 +3,8 @@
 Cubes are stored as float64 arrays of shape (x, y, bands); the flat sample
 order is therefore x-major with the band index fastest.  The native binary
 layout is the magic b"HSC1", the three dimensions as little-endian uint32,
-then the raw sample payload in that same order.  ENVI cubes (BSQ/BIL/BIP,
+then the little-endian float64 samples in that same order (float32 files
+are read too).  ENVI cubes (BSQ/BIL/BIP,
 data types 4, 5 and 12) are read-only.
 """
 
@@ -25,29 +26,6 @@ ENVI_INTERLEAVES = ("bsq", "bil", "bip")
 
 class CubeFormatError(Exception):
     """Malformed or unsupported cube file."""
-
-
-@dataclass
-class CubeFormat:
-    """Which reader or writer handles a cube file.
-
-    kind is "native" or "envi".  element_type is the sample type save_cube
-    writes a native file in; load_cube tells f32 from f64 native files by
-    their payload size.  Native files are always little-endian.  ENVI files
-    are described by their own header.
-    """
-
-    kind: str = "native"
-    element_type: str = "f64"
-
-    def __post_init__(self):
-        if self.kind not in ("native", "envi"):
-            raise ValueError(f"unknown cube format kind {self.kind!r}")
-        if self.kind == "native":
-            if self.element_type not in ("f32", "f64"):
-                raise ValueError("native cubes store f32 or f64 samples")
-        elif self.element_type not in ("f32", "f64", "u16"):
-            raise ValueError(f"unsupported element type {self.element_type!r}")
 
 
 @dataclass
@@ -93,32 +71,28 @@ def extract_pixel(cube, x, y):
     return cube.data[x, y, :].copy()
 
 
-def save_cube(cube, path, fmt=None):
-    """Write a cube in the native binary layout (f64 unless fmt says f32)."""
-    fmt = fmt or CubeFormat()
-    if fmt.kind != "native":
-        raise CubeFormatError("only the native binary format is writable")
-    dtype = "<f4" if fmt.element_type == "f32" else "<f8"
-    payload = np.ascontiguousarray(cube.data, dtype=dtype)
+def save_cube(cube, path):
+    """Write a cube in the native binary layout with float64 samples."""
+    payload = np.ascontiguousarray(cube.data, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(NATIVE_MAGIC)
         fh.write(NATIVE_HEADER.pack(cube.x, cube.y, cube.bands))
         payload.tofile(fh)
 
 
-def load_cube(path, fmt=None):
-    """Read a cube. With fmt=None the kind is sniffed: native magic bytes
-    first, otherwise a sibling ENVI header."""
+def load_cube(path, kind=None):
+    """Read a cube. kind is "native", "envi" or None, which sniffs the kind:
+    native magic bytes first, otherwise a sibling ENVI header.  Native
+    files with f32 samples are told from f64 ones by their payload size."""
     path = Path(path)
-    if fmt is None:
+    if kind is None:
         with open(path, "rb") as fh:
-            head = fh.read(4)
-        kind = "native" if head == NATIVE_MAGIC else "envi"
-    else:
-        kind = fmt.kind
+            kind = "native" if fh.read(4) == NATIVE_MAGIC else "envi"
     if kind == "native":
         return _load_native(path)
-    return _load_envi(path)
+    if kind == "envi":
+        return _load_envi(path)
+    raise ValueError(f"unknown cube format kind {kind!r}")
 
 
 def _load_native(path):

@@ -56,8 +56,6 @@ class SolverConfig:
                    bounds the pixel's time charge, an equal share of its
                    block's wall time
     max_iter       iteration cap, None means unlimited
-    seed           reproducibility record; the solvers themselves draw no
-                   randomness
     """
 
     lam: float = 0.1
@@ -68,7 +66,6 @@ class SolverConfig:
     epsilon: float = 1e-8
     time_limit: float | None = 2.0
     max_iter: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam < 0:

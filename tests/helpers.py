@@ -1,6 +1,8 @@
-"""Shared builders for the test suite: planted sparse instances and tiny
-ENVI files written from scratch (the library only reads ENVI)."""
+"""Shared builders for the test suite: planted sparse instances, tiny
+ENVI files and float32 native cubes written from scratch (the library
+only reads ENVI and writes float64 native cubes)."""
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -80,3 +82,10 @@ def write_envi(directory, stem, data, interleave="bip", dtype="f8",
         header_path = directory / f"{stem}.hdr"
     header_path.write_text("\n".join(lines) + "\n")
     return data_path
+
+
+def write_native_f32(cube, path):
+    """Write a cube in the native layout with float32 samples."""
+    with open(path, "wb") as fh:
+        fh.write(b"HSC1" + struct.pack("<III", cube.x, cube.y, cube.bands))
+        np.ascontiguousarray(cube.data, dtype="<f4").tofile(fh)

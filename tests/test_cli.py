@@ -4,13 +4,13 @@ import csv
 import json
 import shutil
 import subprocess
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from hypercs import (
     SOLVERS,
-    CubeFormat,
     HsiCube,
     NumericalFailure,
     SolverConfig,
@@ -34,7 +34,7 @@ from hypercs.cli import (
 )
 from hypercs.kernels import openblas_libraries
 
-from helpers import write_envi
+from helpers import write_envi, write_native_f32
 
 
 @pytest.fixture
@@ -52,6 +52,24 @@ def run_stages(cube_file, run_dir, *recover_args):
         ["recover", "--input", str(run_dir), "--t-conv", "0", "--max-iter", "400", *recover_args]
     )
     return code
+
+
+def artifacts(run_dir):
+    """Every file in run_dir by name, timing fields removed."""
+    found = {}
+    for path in sorted(run_dir.glob("*")):
+        if path.name == "report.csv":
+            found[path.name] = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+        elif path.name.startswith("pixels_"):
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            found[path.name] = [row[:4] + row[5:] for row in rows]
+        elif path.name.startswith("run_"):
+            meta = json.loads(path.read_text())
+            del meta["recovery_time_s"]
+            found[path.name] = meta
+        else:
+            found[path.name] = path.read_bytes()
+    return found
 
 
 class TestSparsify:
@@ -78,7 +96,7 @@ class TestSparsify:
     def test_native_format_reads_f32_cubes(self, tmp_path):
         cube = generate_synthetic_cube(2, 2, 16, 2, seed=1)
         path = tmp_path / "cube32.hsc"
-        save_cube(cube, path, CubeFormat(element_type="f32"))
+        write_native_f32(cube, path)
         for fmt in ("auto", "native"):
             run_dir = tmp_path / fmt
             code = main(["sparsify", "--input", str(path), "--format", fmt, "--out", str(run_dir)])
@@ -155,6 +173,14 @@ class TestRecover:
         run_dir = tmp_path / "run"
         assert run_stages(cube_file, run_dir, "--algo", "fista") == EXIT_OK
         assert (run_dir / "recovered_fista_lambda0.1.hsc").exists()
+
+    def test_record_holds_the_solver_defaults(self, cube_file, tmp_path):
+        run_dir = tmp_path / "run"
+        main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
+        main(["compress", "--input", str(run_dir)])
+        assert main(["recover", "--input", str(run_dir), "--algo", "fista"]) == EXIT_OK
+        meta = json.loads((run_dir / "run_fista_lambda0.1.json").read_text())
+        assert meta["config"] == asdict(SolverConfig())
 
     def test_greedy_requires_kappa(self, cube_file, tmp_path):
         run_dir = tmp_path / "run"
@@ -391,7 +417,7 @@ class TestBench:
         main(["sparsify", "--input", str(cube_file), "--out", str(stage_dir)])
         main(["compress", "--input", str(stage_dir), "--seed", "3"])
         main(["recover", "--input", str(stage_dir), "--algo", "gomp", "--kappa", "2",
-              "--seed", "3", "--t-conv", "0", "--max-iter", "400"])
+              "--t-conv", "0", "--max-iter", "400"])
         main(["report", "--input", str(stage_dir)])
 
         assert (bench_dir / "recovered_gomp_kappa2.hsc").read_bytes() == (
@@ -423,6 +449,31 @@ class TestBench:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("bands", ["0,1,999", "0,1,-1"])
+    def test_export_bands_out_of_range(self, cube_file, tmp_path, bands):
+        out = tmp_path / "b"
+        code = main(
+            ["bench", "--input", str(cube_file), "--out", str(out),
+             "--algo", "gomp", "--kappa", "2", "--export-bands", bands]
+        )
+        assert code == EXIT_CONFIG
+        assert not list(out.glob("run_*.json"))  # refused before any recovery
+
+    def test_algo_takes_a_comma_list_and_repeats_add_up(self, cube_file, tmp_path):
+        out = tmp_path / "bench"
+        code = main(
+            ["bench", "--input", str(cube_file), "--out", str(out),
+             "--algo", "gomp,cosamp", "--algo", "fista", "--kappa", "2",
+             "--lambda", "0.5", "--lambda", "0.1", "--t-conv", "0", "--max-iter", "400"]
+        )
+        assert code == EXIT_OK
+        rows = read_report(out / "report.csv")
+        assert [(r.algorithm, r.param_label) for r in rows] == [
+            ("cosamp", "κ=2"),
+            ("fista", "λ=0.1"),
+            ("gomp", "κ=2"),
+        ]
+
 
 class TestConfigFile:
     def test_file_values_fill_missing_flags(self, cube_file, tmp_path):
@@ -453,6 +504,42 @@ class TestConfigFile:
         assert code == EXIT_OK
         assert (out / "recovered_gomp_kappa2.hsc").exists()
         assert not (out / "recovered_gomp_kappa3.hsc").exists()
+
+    @pytest.mark.parametrize(
+        "key, flag, value, algo",
+        [
+            ("lambda", "--lambda", "0.05", ["--algo", "fista"]),
+            ("format", "--format", "envi", ["--algo", "gomp", "--kappa", "2"]),
+            ("psnr_peak", "--psnr-peak", "range", ["--algo", "gomp", "--kappa", "2"]),
+            ("mu", "--mu", "0.3", ["--algo", "biht", "--kappa", "2"]),
+            ("g", "--G", "2", ["--algo", "gomp", "--kappa", "3"]),
+            ("export_bands", "--export-bands", "0,5,11", ["--algo", "gomp", "--kappa", "2"]),
+            ("jobs", "--jobs", "2", ["--algo", "gomp", "--kappa", "2"]),
+        ],
+    )
+    def test_file_value_acts_as_its_flag(self, cube_file, tmp_path, key, flag, value, algo):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\n{key} = {value}\n")
+        base = ["bench", "--input", str(cube_file), "--t-conv", "0", "--max-iter", "400", *algo]
+        by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+        code = main(base + ["--out", str(by_flag), flag, value])
+        assert main(base + ["--out", str(by_file), "--config", str(config)]) == code
+        assert artifacts(by_file) == artifacts(by_flag)
+
+    @pytest.mark.parametrize(
+        "lines",
+        ["algo = gomp\npsnr_peak = peak", "algo = gomp\nformat = hdf5", "algo = gomp,newton"],
+    )
+    def test_file_value_outside_the_choices(self, cube_file, tmp_path, lines):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nkappa = 2\n{lines}\n")
+        out = tmp_path / "bench"
+        code = main(
+            ["bench", "--input", str(cube_file), "--out", str(out), "--config", str(config),
+             "--t-conv", "0", "--max-iter", "400"]
+        )
+        assert code == EXIT_CONFIG
+        assert not (out / "sparsified.hsc").exists()
 
     def test_unreadable_config_file(self, cube_file, tmp_path):
         config = tmp_path / "run.ini"

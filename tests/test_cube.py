@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hypercs import (
-    CubeFormat,
     CubeFormatError,
     HsiCube,
     build_dft_basis,
@@ -17,7 +16,7 @@ from hypercs import (
     to_sparse_domain,
 )
 
-from helpers import write_envi
+from helpers import write_envi, write_native_f32
 
 
 def small_cube():
@@ -78,7 +77,7 @@ class TestNativeFormat:
     def test_f32_payload_round_trip(self, tmp_path):
         path = tmp_path / "cube32.hsc"
         cube = HsiCube(data=np.linspace(0.0, 1.0, 12).reshape(2, 2, 3))
-        save_cube(cube, path, CubeFormat(element_type="f32"))
+        write_native_f32(cube, path)
         # sniffed element size comes from the payload length
         loaded = load_cube(path)
         np.testing.assert_allclose(loaded.data, cube.data, atol=1e-6)
@@ -87,7 +86,7 @@ class TestNativeFormat:
         path = tmp_path / "bad.hsc"
         path.write_bytes(b"NOPE" + struct.pack("<III", 1, 1, 1) + b"\0" * 8)
         with pytest.raises(CubeFormatError):
-            load_cube(path, CubeFormat())
+            load_cube(path, "native")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.hsc"
@@ -100,11 +99,6 @@ class TestNativeFormat:
         path.write_bytes(b"HSC1" + struct.pack("<III", 0, 2, 3))
         with pytest.raises(CubeFormatError):
             load_cube(path)
-
-    def test_only_native_is_writable(self, tmp_path):
-        with pytest.raises(CubeFormatError):
-            save_cube(small_cube(), tmp_path / "cube.raw", CubeFormat(kind="envi"))
-
 
 class TestEnviReader:
     @pytest.fixture
@@ -154,7 +148,7 @@ class TestEnviReader:
     def test_header_path_passed_directly_is_rejected(self, tmp_path, data):
         write_envi(tmp_path, "cube", data, header_style="replace")
         with pytest.raises(CubeFormatError):
-            load_cube(tmp_path / "cube.hdr", CubeFormat(kind="envi"))
+            load_cube(tmp_path / "cube.hdr", "envi")
 
     def test_missing_required_key_rejected(self, tmp_path, data):
         path = write_envi(tmp_path, "cube", data)

@@ -37,7 +37,6 @@ class TestSolverConfig:
         assert cfg.epsilon == 1e-8
         assert cfg.time_limit == 2.0
         assert cfg.max_iter is None
-        assert cfg.seed == 0
 
     def test_atoms_per_iter_defaults_to_a_fifth_of_kappa(self):
         assert SolverConfig(kappa=18).atoms_per_iter == 3
