@@ -90,6 +90,8 @@ def load_measurements(path):
         if len(head) < 4 + MEAS_HEADER.size or head[:4] != MEAS_MAGIC:
             raise PipelineFileError(f"{path}: not a measurement file")
         x, y, m, n = MEAS_HEADER.unpack_from(head, 4)
+        if min(x, y, m, n) < 1:
+            raise PipelineFileError(f"{path}: degenerate dimensions x={x} y={y} m={m} n={n}")
         count = x * y * m
         if os.fstat(fh.fileno()).st_size != len(head) + count * 16:
             raise PipelineFileError(f"{path}: payload size does not match the header")
@@ -275,7 +277,9 @@ def run_report(run_dir, out_path=None, dataset=None, peak="abs-max"):
 
 
 def _split(text):
-    return [tok for tok in re.split(r"[,\s]+", str(text).strip()) if tok]
+    if tokens := re.findall(r"[^,\s]+", str(text)):
+        return tokens
+    raise argparse.ArgumentTypeError("needs at least one value")
 
 
 def _parse_floats(text):

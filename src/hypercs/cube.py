@@ -172,6 +172,8 @@ def _load_envi(path):
         raise CubeFormatError(f"{header_path}: unsupported data type {dtype_code}")
     if offset < 0:
         raise CubeFormatError(f"{header_path}: negative header offset {offset}")
+    if byte_order not in (0, 1):
+        raise CubeFormatError(f"{header_path}: unsupported byte order {byte_order}")
     dtype = np.dtype(("<" if byte_order == 0 else ">") + ENVI_DTYPES[dtype_code])
 
     size = Path(path).stat().st_size - offset

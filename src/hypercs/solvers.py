@@ -178,12 +178,11 @@ class _AdmmBlock:
 
     def __init__(self, a, y, dictionary, config):
         n = a.shape[1]
-        inv = scipy.linalg.cho_solve(
+        self.inv = scipy.linalg.cho_solve(
             dictionary.admm_factor(config.alpha), np.eye(n, dtype=np.complex128)
         )
         self.a = a
-        self.b = inv @ (a.conj().T @ y)
-        self.inv = inv
+        self.b = self.inv @ (a.conj().T @ y)
         self.alpha = config.alpha
         # prox threshold of the l1 term under the scaled dual: lam / alpha
         self.threshold = config.lam / config.alpha
@@ -557,10 +556,12 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     x_dim, y_dim, m = meas.shape
     if m != dictionary.m:
         raise ValueError("measurement length does not match the dictionary")
-    # build the shared Gram matrix and factorization once, before any worker fork
-    if algorithm == "admm":
+    # build the solver's shared dictionary state once, before any worker fork
+    if algorithm == "fista":
+        dictionary.lipschitz
+    elif algorithm == "admm":
         dictionary.admm_factor(config.alpha)
-    elif algorithm in GREEDY_SOLVERS:
+    else:
         dictionary.gram
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1

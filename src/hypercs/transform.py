@@ -13,29 +13,23 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-POWER_ITER_CAP = 1000
-POWER_ITER_RTOL = 1e-10
-
 
 @dataclass
 class DftBasis:
     """Dense unitary DFT matrix of size n."""
 
-    n: int
     matrix: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("basis size must be >= 1")
-        if self.matrix.shape != (self.n, self.n):
-            raise ValueError("basis matrix shape mismatch")
+    @property
+    def n(self):
+        return int(self.matrix.shape[0])
 
 
 def build_dft_basis(n):
     """Unitary DFT basis of size n (unitary to machine precision)."""
     if n < 1:
         raise ValueError("basis size must be >= 1")
-    return DftBasis(n=n, matrix=scipy.linalg.dft(n, scale="sqrtn"))
+    return DftBasis(matrix=scipy.linalg.dft(n, scale="sqrtn"))
 
 
 def _apply(matrix, v, what):
@@ -177,48 +171,10 @@ def measure(f, mask):
     return f[..., mask.indices].astype(np.complex128, copy=False)
 
 
-def lipschitz_constant(matrix, max_iter=POWER_ITER_CAP, rtol=POWER_ITER_RTOL):
-    """Largest eigenvalue of A^H A by power iteration.
-
-    Deterministic: starts from the normalized all-ones vector and, if that
-    start is annihilated by A^H A (it is orthogonal to the row space for
-    any pure DFT-row selection that skips row 0), restarts from A^H 1 and
-    then from a seeded random vector.
-    """
-    a = np.asarray(matrix)
-    m, n = a.shape
-
-    def gram_apply(v):
-        return a.conj().T @ (a @ v)
-
-    v = np.ones(n, dtype=np.complex128) / np.sqrt(n)
-    w = gram_apply(v)
-    norm_w = np.linalg.norm(w)
-    if norm_w < 1e-300:
-        v = a.conj().T @ np.ones(m, dtype=np.complex128)
-        nv = np.linalg.norm(v)
-        if nv < 1e-300:
-            rng = np.random.default_rng(0)
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            nv = np.linalg.norm(v)
-        v = v / nv
-        w = gram_apply(v)
-        norm_w = np.linalg.norm(w)
-        if norm_w < 1e-300:
-            return 0.0
-
-    estimate = float(np.real(np.vdot(v, w)))
-    for _ in range(max_iter):
-        v = w / norm_w
-        w = gram_apply(v)
-        norm_w = np.linalg.norm(w)
-        if norm_w < 1e-300:
-            return 0.0
-        new_estimate = float(np.real(np.vdot(v, w)))
-        if abs(new_estimate - estimate) <= rtol * abs(new_estimate):
-            return new_estimate
-        estimate = new_estimate
-    return estimate
+def lipschitz_constant(matrix):
+    """Largest eigenvalue of A^H A, the Lipschitz constant of the gradient of
+    0.5 ||A x - y||^2: the squared spectral norm of A, from its SVD."""
+    return float(np.linalg.norm(matrix, 2)) ** 2
 
 
 @dataclass
@@ -226,16 +182,15 @@ class Dictionary:
     """Measurement dictionary A with cached solver state: the basis rows a
     mask keeps (build_dictionary), or any dense matrix (from_matrix).
 
-    lipschitz holds the power-iteration estimate of the largest eigenvalue
-    of A^H A; for any row selection of a unitary basis it equals 1.  The
-    Gram matrix A^H A that the greedy solvers' least squares and ADMM share
-    is built once and cached, as is the Cholesky factor of (A^H A + alpha I)
-    that ADMM inverts, per alpha; recover_cube builds both before forking
-    worker processes, so every worker receives them with the dictionary.
+    Solver state is built on first use and cached: the Lipschitz constant
+    that sets FISTA's step (1 for any row selection of a unitary basis),
+    the Gram matrix A^H A that the greedy solvers' least squares and ADMM
+    share, and the Cholesky factor of (A^H A + alpha I) that ADMM inverts,
+    per alpha.  recover_cube builds what its solver needs before forking
+    worker processes, so every worker receives it with the dictionary.
     """
 
     matrix: np.ndarray
-    lipschitz: float
     _admm_factors: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -252,7 +207,12 @@ class Dictionary:
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim != 2:
             raise ValueError("dictionary matrix must be 2-D")
-        return cls(matrix=matrix, lipschitz=lipschitz_constant(matrix))
+        return cls(matrix=matrix)
+
+    @cached_property
+    def lipschitz(self):
+        """Largest eigenvalue of A^H A, built on first use."""
+        return lipschitz_constant(self.matrix)
 
     @cached_property
     def gram(self):
@@ -277,5 +237,4 @@ def build_dictionary(basis, mask):
     """Dictionary of the basis rows kept by the mask."""
     if mask.n != basis.n:
         raise ValueError("mask and basis sizes differ")
-    rows = basis.matrix[mask.indices]
-    return Dictionary(matrix=rows, lipschitz=lipschitz_constant(rows))
+    return Dictionary(matrix=basis.matrix[mask.indices])

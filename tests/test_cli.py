@@ -274,8 +274,9 @@ class TestRecover:
             lambda raw: b"HSX1" + raw[4:],
             lambda raw: raw[:-8],
             lambda raw: raw + bytes(16),
+            lambda raw: raw[:4] + bytes(4) + raw[8:20],  # x = 0 and no payload
         ],
-        ids=["wrong-magic", "truncated-payload", "oversized-payload"],
+        ids=["wrong-magic", "truncated-payload", "oversized-payload", "zero-dimension"],
     )
     def test_malformed_measurement_file_exits_3(self, cube_file, tmp_path, damage):
         run_dir = tmp_path / "run"
@@ -540,6 +541,28 @@ class TestConfigFile:
         )
         assert code == EXIT_CONFIG
         assert not (out / "sparsified.hsc").exists()
+
+    @pytest.mark.parametrize(
+        "flags, lines",
+        [
+            ({"--lambda": ","}, ""),
+            ({"--kappa": ","}, ""),
+            ({"--algo": ","}, ""),
+            ({}, "lambda = ,"),
+        ],
+        ids=["lambda-flag", "kappa-flag", "algo-flag", "lambda-file"],
+    )
+    def test_empty_sweep_list(self, cube_file, tmp_path, flags, lines):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\n{lines}\n")
+        out = tmp_path / "bench"
+        flags = {"--algo": "fista,gomp", "--kappa": "2", **flags}
+        code = main(
+            ["bench", "--input", str(cube_file), "--out", str(out), "--config", str(config),
+             "--t-conv", "0", "--max-iter", "400", *[tok for flag in flags.items() for tok in flag]]
+        )
+        assert code == EXIT_CONFIG
+        assert not list(out.glob("*"))  # refused before any file is written
 
     def test_unreadable_config_file(self, cube_file, tmp_path):
         config = tmp_path / "run.ini"

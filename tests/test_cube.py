@@ -171,6 +171,13 @@ class TestEnviReader:
         with pytest.raises(CubeFormatError):
             load_cube(path)
 
+    def test_unsupported_byte_order_rejected(self, tmp_path, data):
+        path = write_envi(tmp_path, "cube", data)
+        header = tmp_path / "cube.raw.hdr"
+        header.write_text(header.read_text().replace("byte order = 0", "byte order = 2"))
+        with pytest.raises(CubeFormatError):
+            load_cube(path)
+
     def test_short_data_file_rejected(self, tmp_path, data):
         path = write_envi(tmp_path, "cube", data)
         payload = path.read_bytes()

@@ -302,6 +302,19 @@ class TestRecoverCube:
         assert stats.n_converged == 6
         assert 1.8 in d._admm_factors
 
+    @pytest.mark.parametrize("name", ["gomp", "admm"])
+    def test_only_fista_builds_the_lipschitz_constant(self, measured, name):
+        d, _, meas = measured
+        cfg = SolverConfig(kappa=2, lam=0.05, time_limit=None, max_iter=50)
+        recover_cube(meas, d, cfg, name)
+        assert "lipschitz" not in vars(d)
+
+    def test_fista_worker_run_builds_the_lipschitz_constant_in_the_parent(self, measured):
+        d, _, meas = measured
+        cfg = SolverConfig(lam=0.05, time_limit=None, max_iter=50)
+        recover_cube(meas, d, cfg, "fista", jobs=2)
+        assert abs(vars(d)["lipschitz"] - 1.0) <= 1e-8
+
     def test_failed_pixels_are_flagged_not_fatal(self, measured):
         d, _, meas = measured
         meas = meas.copy()

@@ -285,8 +285,8 @@ class TestLipschitz:
             assert abs(d.lipschitz - 1.0) <= 1e-8
 
     def test_mask_that_skips_bin_zero(self):
-        # the all-ones start vector is annihilated here; the fallback start
-        # must still find the unit eigenvalue
+        # rows that skip bin 0 annihilate the all-ones vector, yet the rows
+        # are still orthonormal, so the constant is 1
         basis = build_dft_basis(8)
         mask = build_selection_mask(8, 0.5, 0)
         mask.indices = np.array([1, 2, 5])
@@ -329,17 +329,22 @@ class TestDictionary:
 
     def test_gram_is_built_once_and_pickled_with_the_dictionary(self):
         d = partial_fourier(12, 5, 2)
+        assert "gram" not in vars(d) and "lipschitz" not in vars(d)
         gram = d.gram
+        lipschitz = d.lipschitz
+        assert d.lipschitz is lipschitz
+        assert lipschitz == lipschitz_constant(d.matrix)
         # admm factors a damped copy, bit for bit the factor of A^H A + alpha I
         damped = d.matrix.conj().T @ d.matrix
         damped[np.diag_indices_from(damped)] += 1.8
         assert d.admm_factor(1.8)[0].tobytes() == scipy.linalg.cho_factor(damped)[0].tobytes()
         assert d.gram is gram
         np.testing.assert_array_equal(gram, d.matrix.conj().T @ d.matrix)
-        # a worker's unpickled copy carries the Gram instead of rebuilding it
+        # a worker's unpickled copy carries both instead of rebuilding them
         copy = pickle.loads(pickle.dumps(d))
         copy.matrix = np.zeros_like(d.matrix)
         assert copy.gram.tobytes() == gram.tobytes()
+        assert copy.lipschitz == lipschitz
 
     def test_admm_factor_requires_positive_alpha(self):
         with pytest.raises(ValueError):
