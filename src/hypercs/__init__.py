@@ -6,6 +6,8 @@ one of five sparse solvers (fista, admm, gomp, biht, cosamp) and score the
 result against the sparsified cube.
 """
 
+import inspect as _inspect
+
 from .cube import (
     CubeFormatError,
     HsiCube,
@@ -59,51 +61,7 @@ from .transform import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONVEX_SOLVERS",
-    "CubeFormatError",
-    "DftBasis",
-    "Dictionary",
-    "GREEDY_SOLVERS",
-    "HsiCube",
-    "NumericalFailure",
-    "RecoveryStats",
-    "SOLVERS",
-    "SelectionMask",
-    "SolverConfig",
-    "SolverResult",
-    "SparsifyStats",
-    "SummaryRow",
-    "UndefinedMetricError",
-    "admm",
-    "argmax_k",
-    "biht",
-    "build_dft_basis",
-    "build_dictionary",
-    "build_selection_mask",
-    "cosamp",
-    "export_false_color",
-    "extract_pixel",
-    "fista",
-    "from_sparse_domain",
-    "generate_synthetic_cube",
-    "gomp",
-    "gram_least_squares",
-    "lasso_objective",
-    "least_squares",
-    "lipschitz_constant",
-    "load_cube",
-    "load_mask",
-    "measure",
-    "psnr",
-    "read_report",
-    "recover_cube",
-    "residual_delta",
-    "save_cube",
-    "save_mask",
-    "soft_threshold",
-    "sparsify",
-    "stop_check",
-    "to_sparse_domain",
-    "write_report",
-]
+# the public API is every name imported above
+__all__ = sorted(
+    name for name, value in vars().items() if not (name.startswith("_") or _inspect.ismodule(value))
+)

@@ -64,6 +64,9 @@ MEASUREMENTS_FILE = "measurements.hsm"
 MASK_FILE = "mask.txt"
 REPORT_FILE = "report.csv"
 
+DEFAULT_RATIO = 0.4
+DEFAULT_SEED = 0
+
 
 class ConfigError(Exception):
     """Bad or missing run parameters."""
@@ -102,8 +105,12 @@ def load_measurements(path):
 # ---------------------------------------------------------------- stages
 
 
-def run_sparsify(input_path, out_dir, kind="auto", factor=0.1, peak="abs-max", dataset=None):
+def run_sparsify(input_path, out_dir, kind="auto", factor=0.1, peak="abs-max", dataset=None,
+                 check=None):
+    """check, if given, is called with the cube's band count before any file is written."""
     cube = load_cube(input_path, None if kind == "auto" else kind)
+    if check is not None:
+        check(cube.bands)
     basis = build_dft_basis(cube.bands)
     data = np.empty_like(cube.data)
     zero_fractions = np.empty(cube.data.shape[:2])
@@ -134,7 +141,7 @@ def run_sparsify(input_path, out_dir, kind="auto", factor=0.1, peak="abs-max", d
     return stats
 
 
-def run_compress(out_dir, ratio=0.4, seed=0, cube_path=None):
+def run_compress(out_dir, ratio=DEFAULT_RATIO, seed=DEFAULT_SEED, cube_path=None):
     out_dir = Path(out_dir)
     cube = load_cube(cube_path or out_dir / SPARSIFIED_FILE)
     mask = build_selection_mask(cube.bands, ratio, seed)
@@ -348,7 +355,7 @@ OPTIONS = {
         Option("--kappa", "sparsity target(s), comma separated", _parse_ints, solver=True),
         Option("--G", "atoms gomp adds per iteration", int, param="atoms_per_iter", solver=True),
         Option("--mu", "biht gradient step factor", float, solver=True),
-        Option("--alpha", "admm quadratic penalty", float, solver=True),
+        Option("--alpha", "admm starting penalty, balanced per pixel", float, solver=True),
         Option("--epsilon", "residual-delta convergence threshold", float, solver=True),
         Option("--t-conv", "time budget in seconds (<= 0 disables)", float, param="time_limit",
                solver=True),
@@ -448,11 +455,12 @@ def _solver_configs(settings, algo):
 # ------------------------------------------------------------ commands
 
 
-def _sparsify(settings):
+def _sparsify(settings, check=None):
     return run_sparsify(
         settings.require("input"),
         settings.require("out"),
         **settings.given(["format", "t", "psnr_peak", "dataset"]),
+        check=check,
     )
 
 
@@ -499,12 +507,15 @@ def cmd_bench(args):
     jobs = _resolve_jobs(settings)
     bands = settings.get("export_bands")
     dataset = settings.get("dataset")
-    compress = settings.given(["ratio", "seed"])
+    compress = {"ratio": DEFAULT_RATIO, "seed": DEFAULT_SEED, **settings.given(["ratio", "seed"])}
     report = settings.given(["dataset", "psnr_peak"])
 
-    n = _sparsify(settings)["bands"]
-    if bands is not None and not all(0 <= band < n for band in bands):
-        raise ConfigError(f"export band indexes must lie in [0, {n})")
+    def check_bands(n):
+        build_selection_mask(n, **compress)  # raises unless the ratio keeps a band
+        if bands is not None and not all(0 <= band < n for band in bands):
+            raise ConfigError(f"export band indexes must lie in [0, {n})")
+
+    _sparsify(settings, check_bands)
     run_compress(out_dir, **compress)
     failed = 0
     tags = []

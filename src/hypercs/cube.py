@@ -33,7 +33,6 @@ class HsiCube:
     """In-memory cube: float64 samples indexed as data[x, y, band]."""
 
     data: np.ndarray
-    band_meta: list | None = None
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
@@ -43,8 +42,6 @@ class HsiCube:
             raise ValueError("cube dimensions must be >= 1")
         if not np.isfinite(self.data).all():
             raise ValueError("cube contains non-finite samples")
-        if self.band_meta is not None and len(self.band_meta) != self.data.shape[2]:
-            raise ValueError("band metadata length does not match the band count")
 
     @property
     def x(self):
@@ -189,16 +186,9 @@ def _load_envi(path):
         data = flat.reshape(lines, bands, samples).transpose(2, 0, 1)
     else:  # bip
         data = flat.reshape(lines, samples, bands).transpose(1, 0, 2)
-
-    band_meta = None
-    if "band names" in fields:
-        names = fields["band names"].strip("{} \t")
-        band_meta = [name.strip() for name in names.split(",") if name.strip()]
-        if len(band_meta) != bands:
-            band_meta = None
     try:
         # HsiCube's float64 C-order conversion is the one transposing copy
-        return HsiCube(data=data, band_meta=band_meta)
+        return HsiCube(data=data)
     except ValueError as exc:
         raise CubeFormatError(f"{path}: {exc}") from None
 

@@ -67,14 +67,16 @@ def soft_threshold(v, t):
     """Complex soft threshold: shrink each magnitude by t, keep the phase.
 
     Entries with |v_i| <= t map to exactly 0.  For real input this is the
-    usual sign(v) * max(|v| - t, 0).
+    usual sign(v) * max(|v| - t, 0).  t is a scalar, or for an (n, k) v a
+    row of k per-column thresholds.
     """
-    if t < 0:
+    if (np.asarray(t) < 0).any():
         raise ValueError("threshold must be >= 0")
     v = np.asarray(v)
     mags = np.abs(v)
-    shrunk = np.maximum(mags - t, 0.0)
-    return v * np.divide(shrunk, mags, out=np.zeros_like(mags), where=mags > 0)
+    factor = np.maximum(mags - t, 0.0)
+    np.divide(factor, mags, out=factor, where=factor > 0)
+    return v * factor
 
 
 def argmax_k(v, k):

@@ -26,7 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import argmax_k, gram_least_squares, least_squares, one_blas_thread, residual_delta, soft_threshold
 
@@ -50,7 +49,8 @@ class SolverConfig:
     mu             gradient step factor of biht; scales how many atoms the
                    step admits beyond the strongest residual projection,
                    which is always a candidate
-    alpha          quadratic penalty of admm
+    alpha          starting penalty of admm; each pixel's is then
+                   balanced by its residuals
     epsilon        residual-delta convergence threshold
     time_limit     per-pixel time budget in seconds, None disables it; it
                    bounds the pixel's time charge, an equal share of its
@@ -124,6 +124,17 @@ def lasso_objective(x, y, dictionary, lam):
     return 0.5 * float(np.real(np.vdot(r, r))) + lam * float(np.abs(x).sum())
 
 
+# ADMM's residual balancing (see _AdmmBlock): the factor a penalty moves by,
+# and the ratio of its residuals that moves it
+ADMM_TAU = 2.0
+ADMM_MU = 10.0
+
+
+def _squared_column_norms(v):
+    """||v_j||^2 of each column of a complex (n, k) block."""
+    return (v.real**2 + v.imag**2).sum(axis=0)
+
+
 def _fista_momentum(t):
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
 
@@ -167,49 +178,69 @@ class _FistaBlock:
 
 
 class _AdmmBlock:
-    """Scaled-dual ADMM on an (n, k) block of pixel columns.
+    """Scaled-dual ADMM on an (n, k) block of pixel columns, each column with
+    its own penalty alpha_j, starting at config.alpha.
 
-    The x-update solves (A^H A + alpha I) x = A^H y + alpha (z - w).  The
-    inverse is built once per solve from the cached Cholesky factor, so each
-    iteration is one matrix product (Boyd et al. 2011, section 4.2); a
-    cho_solve on the whole block inside the loop is slower than the serial
-    per-pixel solves.
+    The x-update solves (A^H A + alpha_j I) x = A^H y + alpha_j (z - w) by
+    Woodbury on the dictionary's eigendecomposition of A A^H, which serves
+    every penalty.  Each iteration then balances each column's penalty by
+    its own residuals (Boyd et al. 2011, section 3.4.1): alpha_j is
+    multiplied by ADMM_TAU when the primal residual ||x - z|| exceeds
+    ADMM_MU times the dual residual alpha_j ||z - z_prev||, divided by
+    ADMM_TAU in the converse case, and w_j rescaled by alpha_old / alpha_new.
+    A column thus computes in a block what it computes alone, to round-off.
     """
 
     def __init__(self, a, y, dictionary, config):
-        n = a.shape[1]
-        self.inv = scipy.linalg.cho_solve(
-            dictionary.admm_factor(config.alpha), np.eye(n, dtype=np.complex128)
-        )
-        self.a = a
-        self.b = self.inv @ (a.conj().T @ y)
-        self.alpha = config.alpha
-        # prox threshold of the l1 term under the scaled dual: lam / alpha
-        self.threshold = config.lam / config.alpha
-        self.x = np.zeros((n, y.shape[1]), dtype=np.complex128)
-        self.z = np.zeros_like(self.x)
-        self.w = np.zeros_like(self.x)
+        self.eigenvalues, self.q, self.qa = dictionary.admm_factor()
+        self.qah = self.qa.conj().T
+        self.b = a.conj().T @ y
+        self.lam = config.lam
+        self.z = np.zeros((a.shape[1], y.shape[1]), dtype=np.complex128)
+        self.w = np.zeros_like(self.z)
+        self.penalize(np.full(y.shape[1], config.alpha))
+
+    def penalize(self, alpha):
+        """Set the columns' penalties and the factors the iteration takes from them."""
+        self.alpha, self.inv_alpha = alpha, 1.0 / alpha
+        self.damping = 1.0 / (self.eigenvalues[:, None] + alpha)
 
     def step(self, y, residual):
         """One iteration; returns the residual of the x iterate, which feeds
         the stop rule, and the columns that halted (none).  The solution is
         the sparse iterate z."""
-        # 1. quadratic solve through the inverse of the cached factorization
-        self.x = self.b + self.alpha * (self.inv @ (self.z - self.w))
-        # 2. shrinkage step
-        self.z = soft_threshold(self.x + self.w, self.threshold)
-        # 3. dual update
-        self.w = self.w + self.x - self.z
-        return y - self.a @ self.x, np.zeros(y.shape[1], dtype=bool)
+        # 1. quadratic solve by Woodbury, in place on u = A^H y + alpha (z - w);
+        #    v = Q^H A x
+        x = self.z - self.w
+        x *= self.alpha
+        x += self.b
+        v = self.qa @ x
+        v *= self.damping
+        x -= self.qah @ v
+        x *= self.inv_alpha
+        # 2. shrinkage step, the prox of the l1 term under the scaled dual
+        w = x + self.w
+        z = soft_threshold(w, self.lam * self.inv_alpha)
+        # 3. dual update, w + x - z
+        w -= z
+        # 4. residual balancing on the squared residuals
+        primal = _squared_column_norms(x - z)
+        dual = self.alpha**2 * _squared_column_norms(z - self.z)
+        self.z, self.w = z, w
+        up, down = primal > ADMM_MU**2 * dual, dual > ADMM_MU**2 * primal
+        if up.any() or down.any():
+            scale = np.where(up, ADMM_TAU, np.where(down, 1.0 / ADMM_TAU, 1.0))
+            self.w *= 1.0 / scale  # exact: the scale is a power of two
+            self.penalize(self.alpha * scale)
+        return y - self.q @ v, np.zeros(y.shape[1], dtype=bool)
 
     @property
     def solution(self):
         return self.z
 
     def keep(self, cols):
-        self.b, self.x, self.z, self.w = (
-            self.b[:, cols], self.x[:, cols], self.z[:, cols], self.w[:, cols]
-        )
+        self.b, self.z, self.w = self.b[:, cols], self.z[:, cols], self.w[:, cols]
+        self.penalize(self.alpha[cols])
 
 
 class _GreedyBlock:
@@ -545,8 +576,9 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     numerically is flagged and left at zero; the cube is never aborted.  Tiles of at most
     TILE_PIXELS consecutive pixels are solved as one block; with jobs > 1 they go to worker
     processes, each on one OpenBLAS thread, and the caller's threading is left as found.
-    Every pixel keeps its own stop rule, so the iteration counts equal those of per-pixel
-    solver calls; greedy coefficients are identical and convex ones agree to round-off.
+    Every pixel keeps its own stop rule, and under admm its own penalty, so the iteration
+    counts equal those of per-pixel solver calls; greedy coefficients are identical and
+    convex ones agree to round-off.
     """
     if algorithm not in SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -560,7 +592,7 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     if algorithm == "fista":
         dictionary.lipschitz
     elif algorithm == "admm":
-        dictionary.admm_factor(config.alpha)
+        dictionary.admm_factor()
     else:
         dictionary.gram
     if jobs is None or jobs < 1:

@@ -184,14 +184,15 @@ class Dictionary:
 
     Solver state is built on first use and cached: the Lipschitz constant
     that sets FISTA's step (1 for any row selection of a unitary basis),
-    the Gram matrix A^H A that the greedy solvers' least squares and ADMM
-    share, and the Cholesky factor of (A^H A + alpha I) that ADMM inverts,
-    per alpha.  recover_cube builds what its solver needs before forking
-    worker processes, so every worker receives it with the dictionary.
+    the Gram matrix A^H A of the greedy solvers' least squares, and the
+    eigendecomposition of A A^H through which ADMM solves its damped system
+    for any penalty.  recover_cube builds what its solver needs before
+    forking worker processes, so every worker receives it with the
+    dictionary.
     """
 
     matrix: np.ndarray
-    _admm_factors: dict = field(default_factory=dict, repr=False)
+    _admm_factor: tuple | None = field(default=None, repr=False)
 
     @property
     def m(self):
@@ -219,18 +220,16 @@ class Dictionary:
         """A^H A, built on first use."""
         return self.matrix.conj().T @ self.matrix
 
-    def admm_factor(self, alpha):
-        """Cholesky factorization of (A^H A + alpha I), cached per alpha."""
-        if alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        factor = self._admm_factors.get(alpha)
-        if factor is None:
-            gram = self.gram.copy()
-            gram[np.diag_indices_from(gram)] += alpha
-            # Hermitian positive definite for every alpha > 0
-            factor = scipy.linalg.cho_factor(gram)
-            self._admm_factors[alpha] = factor
-        return factor
+    def admm_factor(self):
+        """(eigenvalues, Q, Q^H A) of A A^H = Q diag(eigenvalues) Q^H, built
+        on first use.  By Woodbury, for every alpha > 0,
+            (A^H A + alpha I)^-1 u = (u - (Q^H A)^H D Q^H A u) / alpha,
+        with D = diag(1 / (eigenvalues + alpha)), and Q^H A x = D Q^H A u."""
+        if self._admm_factor is None:
+            eigenvalues, q = np.linalg.eigh(self.matrix @ self.matrix.conj().T)
+            # A A^H is positive semidefinite; round-off may dip below zero
+            self._admm_factor = (np.maximum(eigenvalues, 0.0), q, q.conj().T @ self.matrix)
+        return self._admm_factor
 
 
 def build_dictionary(basis, mask):

@@ -7,7 +7,16 @@ from pathlib import Path
 
 import numpy as np
 
-from hypercs import build_dft_basis, build_dictionary, build_selection_mask
+from hypercs import (
+    build_dft_basis,
+    build_dictionary,
+    build_selection_mask,
+    from_sparse_domain,
+    generate_synthetic_cube,
+    measure,
+    sparsify,
+    to_sparse_domain,
+)
 
 ENVI_DTYPE_CODES = {"f4": 4, "f8": 5, "u2": 12}
 
@@ -17,6 +26,17 @@ def partial_fourier(n, m, seed):
     mask = build_selection_mask(n, m / n, seed)
     assert mask.m == m
     return build_dictionary(build_dft_basis(n), mask)
+
+
+def desk_scene(x, y, bands, kappa_true, seed, factor):
+    """(dictionary, measurements) of a synthetic scene, sparsified with the
+    given factor and compressed at ratio 0.4, as `bench --seed seed` does."""
+    basis = build_dft_basis(bands)
+    cube = generate_synthetic_cube(x, y, bands, kappa_true=kappa_true, seed=seed)
+    kept, _ = sparsify(to_sparse_domain(cube.data, basis), factor)
+    sparsified, _ = from_sparse_domain(kept, basis)
+    mask = build_selection_mask(bands, 0.4, seed)
+    return build_dictionary(basis, mask), measure(sparsified, mask)
 
 
 def planted_instance(n, m, kappa, seed, coeffs="unit"):

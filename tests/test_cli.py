@@ -458,7 +458,18 @@ class TestBench:
              "--algo", "gomp", "--kappa", "2", "--export-bands", bands]
         )
         assert code == EXIT_CONFIG
-        assert not list(out.glob("run_*.json"))  # refused before any recovery
+        assert not (out / "sparsified.hsc").exists()  # refused before any stage wrote a file
+
+    @pytest.mark.parametrize("ratio", ["0.01", "1.5"])
+    def test_ratio_out_of_range_writes_nothing(self, cube_file, tmp_path, ratio):
+        # 0.01 of the 24 bands rounds to none
+        out = tmp_path / "b"
+        code = main(
+            ["bench", "--input", str(cube_file), "--out", str(out),
+             "--algo", "gomp", "--kappa", "2", "--ratio", ratio]
+        )
+        assert code == EXIT_CONFIG
+        assert not (out / "sparsified.hsc").exists()
 
     def test_algo_takes_a_comma_list_and_repeats_add_up(self, cube_file, tmp_path):
         out = tmp_path / "bench"

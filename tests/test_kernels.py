@@ -54,6 +54,16 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(np.array([1.0]), -0.1)
 
+    def test_a_threshold_row_applies_per_column(self):
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        t = np.array([0.0, 0.5, 2.0])
+        out = soft_threshold(v, t)
+        for j in range(3):
+            assert out[:, j].tobytes() == soft_threshold(v[:, j], t[j]).tobytes()
+        with pytest.raises(ValueError):
+            soft_threshold(v, np.array([0.1, -1e-9, 0.2]))
+
 
 class TestArgmaxK:
     def test_picks_largest_magnitudes(self):

@@ -1,5 +1,7 @@
 """Solver behavior: configs, stop rule, closed forms, recovery, cube runs."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,9 @@ from hypercs import (
     recover_cube,
     stop_check,
 )
+from hypercs.solvers import _AdmmBlock
 
-from helpers import partial_fourier, planted_instance
+from helpers import desk_scene, partial_fourier, planted_instance
 
 NO_LIMITS = dict(time_limit=None, max_iter=2000)
 
@@ -54,6 +57,8 @@ class TestSolverConfig:
             SolverConfig(mu=0.0)
         with pytest.raises(ValueError):
             SolverConfig(alpha=-0.5)
+        with pytest.raises(ValueError):
+            SolverConfig(alpha=0.0)
         with pytest.raises(ValueError):
             SolverConfig(epsilon=0.0)
         with pytest.raises(ValueError):
@@ -132,6 +137,44 @@ class TestConvexSolvers:
             h_f = lasso_objective(fista(y, d, cfg).x, y, d, cfg.lam)
             h_a = lasso_objective(admm(y, d, cfg).x, y, d, cfg.lam)
             assert abs(h_f - h_a) <= 1e-6 * max(1.0, abs(h_f))
+
+    def test_admm_x_update_solves_each_columns_damped_system(self):
+        # at lam = 0 the shrinkage is the identity, so z - w after one step is
+        # the x-update's solution of (A^H A + alpha_j I) x = A^H y + alpha_j (z - w)
+        rng = np.random.default_rng(3)
+        d = Dictionary.from_matrix(rng.standard_normal((6, 15)) + 1j * rng.standard_normal((6, 15)))
+        y = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        block = _AdmmBlock(d.matrix, y, d, SolverConfig(lam=0.0))
+        alpha = np.array([0.05, 0.3, 1.8, 10.0])
+        block.penalize(alpha)
+        block.z = rng.standard_normal((15, 4)) + 1j * rng.standard_normal((15, 4))
+        block.w = rng.standard_normal((15, 4)) + 1j * rng.standard_normal((15, 4))
+        w = block.w
+        rhs = d.matrix.conj().T @ y + alpha * (block.z - w)
+        residual, _ = block.step(y, y)
+        for j in range(4):
+            x = np.linalg.solve(d.gram + alpha[j] * np.eye(15), rhs[:, j])
+            assert np.linalg.norm(block.z[:, j] - w[:, j] - x) <= 1e-12 * np.linalg.norm(x)
+            np.testing.assert_allclose(residual[:, j], y[:, j] - d.matrix @ x, rtol=0, atol=1e-12)
+
+    def test_admm_stops_at_the_lasso_minimum(self):
+        # at a fixed penalty of 1.8, pixel (2, 6) of this scene stopped
+        # "converged" after 18,070 iterations, its objective 1.1e-2 above
+        # fista's; balanced penalties reach fista's objective (or below it)
+        # in at most twice fista's iterations
+        d, meas = desk_scene(16, 16, 64, 4, seed=1, factor=0.1)
+        cfg = SolverConfig(lam=1e-3, epsilon=1e-8, time_limit=None, max_iter=20_000)
+        cubes, iterations = {}, {}
+        for name in ("fista", "admm"):
+            cubes[name], stats = recover_cube(meas, d, cfg, name)
+            assert stats.n_converged == 256
+            iterations[name] = stats.total_iterations
+        assert iterations["admm"] <= 2 * iterations["fista"]
+        for ix in range(16):
+            for iy in range(16):
+                h_fista = lasso_objective(cubes["fista"][ix, iy], meas[ix, iy], d, cfg.lam)
+                h_admm = lasso_objective(cubes["admm"][ix, iy], meas[ix, iy], d, cfg.lam)
+                assert h_admm - h_fista <= 1e-9 * h_fista
 
     def test_fista_objective_never_beats_the_zero_vector_by_accident(self):
         d, _, y = planted_instance(16, 7, 3, 0)
@@ -295,12 +338,44 @@ class TestRecoverCube:
         assert stats1.total_iterations == stats2.total_iterations
         assert stats1.n_converged == stats2.n_converged
 
-    def test_admm_cube_run_uses_the_cached_factorization(self, measured):
+    def test_admm_cube_run_uses_the_cached_factorization(self, measured, monkeypatch):
+        # one eigendecomposition, built in the parent before the workers fork
         d, _, meas = measured
-        cfg = SolverConfig(lam=0.05, alpha=1.8, time_limit=None, max_iter=5000)
-        cube, stats = recover_cube(meas, d, cfg, "admm", jobs=2)
-        assert stats.n_converged == 6
-        assert 1.8 in d._admm_factors
+        parent, eigh, calls = os.getpid(), np.linalg.eigh, []
+
+        def parent_eigh(matrix):
+            assert os.getpid() == parent, "a pool worker decomposed A A^H"
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", parent_eigh)
+        for alpha in (1.8, 0.3):  # every starting penalty shares it
+            cfg = SolverConfig(lam=0.05, alpha=alpha, time_limit=None, max_iter=5000)
+            _, stats = recover_cube(meas, d, cfg, "admm", jobs=2)
+            assert stats.n_converged == 6
+        assert calls == [(7, 7)]
+
+    def test_admm_pixels_are_independent_of_their_tile(self):
+        # every column balances its own penalty: a pixel runs the same
+        # iterations alone, in a 256-pixel tile and in a worker's tile
+        d, meas = desk_scene(8, 8, 64, 4, seed=1, factor=0.01)
+        cfg = SolverConfig(lam=0.01, time_limit=None, max_iter=20_000)
+        y = meas.reshape(64, -1).T
+        block = _AdmmBlock(d.matrix, y, d, cfg)
+        for _ in range(50):
+            block.step(y, y)
+        assert np.unique(block.alpha).size >= 3  # the penalties diverged
+        tiled, tiled_stats = recover_cube(np.tile(meas, (2, 2, 1)), d, cfg, "admm")
+        pooled, pooled_stats = recover_cube(meas, d, cfg, "admm", jobs=2)
+        tiled_iterations = tiled_stats.iterations.reshape(16, 16)
+        for ix in range(8):
+            for iy in range(8):
+                single = admm(meas[ix, iy], d, cfg)
+                assert tiled_iterations[ix, iy] == single.iterations
+                assert tiled_iterations[ix + 8, iy + 8] == single.iterations
+                assert pooled_stats.iterations[8 * ix + iy] == single.iterations
+                for x in (tiled[ix, iy], tiled[ix + 8, iy + 8], pooled[ix, iy]):
+                    np.testing.assert_allclose(x, single.x, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["gomp", "admm"])
     def test_only_fista_builds_the_lipschitz_constant(self, measured, name):

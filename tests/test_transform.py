@@ -4,7 +4,6 @@ import pickle
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from hypercs import (
     Dictionary,
@@ -314,38 +313,45 @@ class TestDictionary:
             Dictionary.from_matrix(np.ones(3))
 
     def test_admm_factor_solves_the_damped_gram_system(self):
-        d = partial_fourier(12, 5, 0)
-        factor = d.admm_factor(1.8)
+        # Woodbury on A A^H = Q diag(eigenvalues) Q^H:
+        # (A^H A + alpha I)^-1 u = (u - (Q^H A)^H D Q^H A u) / alpha, D = 1 / (eigenvalues + alpha)
         rng = np.random.default_rng(6)
-        b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        s = scipy.linalg.cho_solve(factor, b)
-        gram = d.matrix.conj().T @ d.matrix + 1.8 * np.eye(12)
-        np.testing.assert_allclose(gram @ s, b, atol=1e-10)
+        gaussian = rng.standard_normal((10, 24)) + 1j * rng.standard_normal((10, 24))
+        for d in (partial_fourier(24, 10, 0), Dictionary.from_matrix(gaussian)):
+            eigenvalues, q, qa = d.admm_factor()
+            np.testing.assert_allclose(qa, q.conj().T @ d.matrix, rtol=0, atol=1e-12)
+            u = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+            for alpha in (0.05, 0.3, 1.8, 10.0):
+                v = (qa @ u) / (eigenvalues + alpha)
+                x = (u - qa.conj().T @ v) / alpha
+                expected = np.linalg.solve(d.gram + alpha * np.eye(24), u)
+                assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+                # v is Q^H A x, so Q v is A x
+                ax = d.matrix @ expected
+                assert np.linalg.norm(q @ v - ax) <= 1e-12 * np.linalg.norm(ax)
 
-    def test_admm_factor_is_cached_per_alpha(self):
+    def test_admm_factor_is_built_once(self):
         d = partial_fourier(12, 5, 1)
-        assert d.admm_factor(1.8) is d.admm_factor(1.8)
-        assert d.admm_factor(1.8) is not d.admm_factor(2.0)
+        assert d._admm_factor is None
+        factor = d.admm_factor()
+        assert d.admm_factor() is factor
+        # any row selection of a unitary basis has orthonormal rows: A A^H = I
+        np.testing.assert_allclose(factor[0], np.ones(5), rtol=0, atol=1e-12)
 
     def test_gram_is_built_once_and_pickled_with_the_dictionary(self):
         d = partial_fourier(12, 5, 2)
         assert "gram" not in vars(d) and "lipschitz" not in vars(d)
         gram = d.gram
         lipschitz = d.lipschitz
+        factor = d.admm_factor()
         assert d.lipschitz is lipschitz
         assert lipschitz == lipschitz_constant(d.matrix)
-        # admm factors a damped copy, bit for bit the factor of A^H A + alpha I
-        damped = d.matrix.conj().T @ d.matrix
-        damped[np.diag_indices_from(damped)] += 1.8
-        assert d.admm_factor(1.8)[0].tobytes() == scipy.linalg.cho_factor(damped)[0].tobytes()
         assert d.gram is gram
         np.testing.assert_array_equal(gram, d.matrix.conj().T @ d.matrix)
-        # a worker's unpickled copy carries both instead of rebuilding them
+        # a worker's unpickled copy carries all three instead of rebuilding them
         copy = pickle.loads(pickle.dumps(d))
         copy.matrix = np.zeros_like(d.matrix)
         assert copy.gram.tobytes() == gram.tobytes()
         assert copy.lipschitz == lipschitz
-
-    def test_admm_factor_requires_positive_alpha(self):
-        with pytest.raises(ValueError):
-            partial_fourier(8, 3, 0).admm_factor(0.0)
+        for part, original in zip(copy.admm_factor(), factor):
+            assert part.tobytes() == original.tobytes()
