@@ -141,9 +141,9 @@ def run_sparsify(input_path, out_dir, kind="auto", factor=0.1, peak="abs-max", d
     return stats
 
 
-def run_compress(out_dir, ratio=DEFAULT_RATIO, seed=DEFAULT_SEED, cube_path=None):
+def run_compress(out_dir, ratio=DEFAULT_RATIO, seed=DEFAULT_SEED):
     out_dir = Path(out_dir)
-    cube = load_cube(cube_path or out_dir / SPARSIFIED_FILE)
+    cube = load_cube(out_dir / SPARSIFIED_FILE)
     mask = build_selection_mask(cube.bands, ratio, seed)
     measurements = measure(cube.data, mask)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -242,37 +242,20 @@ def run_report(run_dir, out_path=None, dataset=None, peak="abs-max"):
     for meta_path in sorted(run_dir.glob("run_*.json")):
         try:
             meta = json.loads(meta_path.read_text())
-            fields = {
-                "dataset": dataset or meta["dataset"],
-                "algorithm": meta["algorithm"],
-                "param_label": meta["param_label"],
-                "total_iterations": meta["total_iterations"],
-                "convergence_pct": meta["convergence_pct"],
-                "recovery_time_s": meta["recovery_time_s"],
-                "n_converged": meta["n_converged"],
-                "n_zero_pixels": meta["n_zero_pixels"],
-                "recovered_file": meta["recovered_file"],
-            }
+            n_converged = meta["n_converged"]
+            if n_converged > 0 and meta["total_iterations"] == 0 and n_converged > meta["n_zero_pixels"]:
+                raise PipelineFileError(f"{meta_path}: converged pixels with zero iterations")
+            rows.append(SummaryRow(
+                dataset=dataset or meta["dataset"],
+                algorithm=meta["algorithm"],
+                param_label=meta["param_label"],
+                psnr_db=psnr(sparsified, load_cube(run_dir / meta["recovered_file"]), peak),
+                total_iterations=meta["total_iterations"],
+                convergence_pct=meta["convergence_pct"],
+                recovery_time_s=meta["recovery_time_s"],
+            ))
         except (KeyError, json.JSONDecodeError) as exc:
             raise PipelineFileError(f"{meta_path}: unreadable recovery record: {exc}") from None
-        if (
-            fields["n_converged"] > 0
-            and fields["total_iterations"] == 0
-            and fields["n_converged"] > fields["n_zero_pixels"]
-        ):
-            raise PipelineFileError(f"{meta_path}: converged pixels with zero iterations")
-        quality = psnr(sparsified, load_cube(run_dir / fields["recovered_file"]), peak)
-        rows.append(
-            SummaryRow(
-                dataset=fields["dataset"],
-                algorithm=fields["algorithm"],
-                param_label=fields["param_label"],
-                psnr_db=quality,
-                total_iterations=fields["total_iterations"],
-                convergence_pct=fields["convergence_pct"],
-                recovery_time_s=fields["recovery_time_s"],
-            )
-        )
     if not rows:
         raise PipelineFileError(f"{run_dir}: no recovery records to report")
     write_report(rows, out_path)
@@ -345,7 +328,6 @@ OPTIONS = {
         Option("--psnr-peak", "peak convention for PSNR", choices=PEAK_CONVENTIONS, param="peak"),
         Option("--format", "input cube format", choices=("auto", "native", "envi"), param="kind"),
         Option("--T", "sparsification factor", float, param="factor"),
-        Option("--cube", "cube to compress (default: sparsified.hsc in the run dir)"),
         Option("--ratio", "fraction of bands to keep", float),
         Option("--seed", "mask seed", int),
         Option("--export-bands", "three band indexes for false-color PPMs", _parse_band_triple),
@@ -471,9 +453,7 @@ def cmd_sparsify(args):
 
 def cmd_compress(args):
     settings = Settings(args)
-    run_compress(
-        settings.require("input"), cube_path=settings.get("cube"), **settings.given(["ratio", "seed"])
-    )
+    run_compress(settings.require("input"), **settings.given(["ratio", "seed"]))
     return EXIT_OK
 
 
@@ -541,7 +521,7 @@ COMMANDS = {  # name: (function, help, the options it takes)
     "sparsify": (cmd_sparsify, "zero weak inverse-DFT coefficients of every pixel",
                  ["input", "out", "config", "dataset", "psnr_peak", "format", "t"]),
     "compress": (cmd_compress, "subsample the sparsified cube into measurements",
-                 ["input", "config", "cube", "ratio", "seed"]),
+                 ["input", "config", "ratio", "seed"]),
     "recover": (cmd_recover, "solve every pixel from the stored measurements",
                 ["input", "config", "dataset", *SOLVER_OPTIONS]),
     "bench": (cmd_bench, "full pipeline over every algorithm/parameter pair",

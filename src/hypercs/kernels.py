@@ -14,7 +14,7 @@ import scipy.linalg
 RANK_RTOL = 1e-10
 # smallest accepted ratio of the smallest to the largest diagonal entry of
 # gram_least_squares' Cholesky factor; full-rank greedy supports sit above
-# 0.08 and supports that least_squares finds rank deficient below 1e-7
+# 0.08 and numerically rank-deficient ones below 1e-7
 GRAM_RTOL = 1e-5
 
 PROC_MAPS = "/proc/self/maps"
@@ -95,10 +95,10 @@ def argmax_k(v, k):
 def least_squares(b, y):
     """Solve min_s ||b s - y||_2 for a dense m x k matrix b.
 
-    Full-rank systems go through a column-pivoted QR solve; if the numerical
-    rank drops below k the SVD-based minimum-norm solution is returned
-    instead (rank cutoff RANK_RTOL relative to the largest diagonal of R).
-    Non-finite input returns all-NaN values instead of raising.
+    The minimum-norm solution by SVD (LAPACK gelsd), with singular values
+    below RANK_RTOL times the largest treated as zero, so rank-deficient and
+    underdetermined systems are solved too.  Non-finite input returns
+    all-NaN values instead of raising.
     """
     b = np.asarray(b)
     y = np.asarray(y)
@@ -106,18 +106,9 @@ def least_squares(b, y):
         raise ValueError("matrix must be 2-D")
     if y.shape != (b.shape[0],):
         raise ValueError("right-hand side length does not match the matrix")
-    k = b.shape[1]
     if not (np.isfinite(b).all() and np.isfinite(y).all()):
         # non-finite input gives a non-finite solution for the caller to flag
-        return np.full(k, np.nan, dtype=np.result_type(b, y, 1.0))
-    q, r, piv = scipy.linalg.qr(b, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if b.shape[0] >= k and diag.size == k and diag.min() > RANK_RTOL * diag.max():
-        z = scipy.linalg.solve_triangular(r, q.conj().T @ y)
-        s = np.empty_like(z)
-        s[piv] = z
-        return s
-    # rank deficient (or underdetermined): minimum-norm solution
+        return np.full(b.shape[1], np.nan, dtype=np.result_type(b, y, 1.0))
     s, *_ = scipy.linalg.lstsq(b, y, cond=RANK_RTOL, lapack_driver="gelsd")
     return s
 
@@ -127,7 +118,8 @@ def gram_least_squares(b, gram, y):
 
     gram is Cholesky-factored and gram s = b^H y solved; one correction on
     the true residual, s += gram^-1 b^H (y - b s), brings the result to the
-    accuracy of the QR solve (corrected semi-normal equations, Bjorck 1987).
+    accuracy of an orthogonal solve (corrected semi-normal equations,
+    Bjorck 1987).
     Returns None when gram is not numerically positive definite (the
     factorization fails, or its smallest diagonal entry is at most GRAM_RTOL
     times its largest); least_squares then solves the system.  A non-finite

@@ -280,8 +280,8 @@ class _GreedyBlock:
 
     def solve(self, support, y):
         """Least squares of y on the support's atoms, through the support's
-        block of the shared Gram matrix; pivoted QR where that block is
-        numerically singular."""
+        block of the shared Gram matrix; the minimum-norm SVD solve where
+        that block is numerically singular."""
         b = self.a[:, support]
         s = gram_least_squares(b, self.gram[np.ix_(support, support)], y)
         return least_squares(b, y) if s is None else s
@@ -573,9 +573,11 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
 
     Returns (sparse-domain cube of shape (x, y, n), RecoveryStats of the
     pixels in raster order, x-major).  A pixel whose solver fails
-    numerically is flagged and left at zero; the cube is never aborted.  Tiles of at most
-    TILE_PIXELS consecutive pixels are solved as one block; with jobs > 1 they go to worker
-    processes, each on one OpenBLAS thread, and the caller's threading is left as found.
+    numerically is flagged and left at zero; the cube is never aborted.  The config is
+    checked, and the dictionary state the solver reads built, before any tile is solved.
+    Tiles of at most TILE_PIXELS consecutive pixels are solved as one block; with jobs > 1
+    they go to at most one worker process per tile, each on one OpenBLAS thread, and the
+    caller's threading is left as found.
     Every pixel keeps its own stop rule, and under admm its own penalty, so the iteration
     counts equal those of per-pixel solver calls; greedy coefficients are identical and
     convex ones agree to round-off.
@@ -588,13 +590,10 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     x_dim, y_dim, m = meas.shape
     if m != dictionary.m:
         raise ValueError("measurement length does not match the dictionary")
-    # build the solver's shared dictionary state once, before any worker fork
-    if algorithm == "fista":
-        dictionary.lipschitz
-    elif algorithm == "admm":
-        dictionary.admm_factor()
-    else:
-        dictionary.gram
+    block_type = _BLOCK_TYPES[algorithm]
+    # a block of no pixels checks the config and builds the dictionary state
+    # the solver reads, once, before any worker forks
+    block_type(dictionary.matrix, np.empty((m, 0), dtype=np.complex128), dictionary, config)
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1
 
@@ -603,6 +602,7 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     # tiles of at most TILE_PIXELS, but at least one per worker
     tile = max(1, min(TILE_PIXELS, -(-n_pixels // jobs)))
     starts = range(0, n_pixels, tile)
+    jobs = min(jobs, len(starts))  # a worker per tile at most
     tiles = (flat[i : i + tile] for i in starts)
     cube = np.zeros((n_pixels, dictionary.n), dtype=np.complex128)
     stats = RecoveryStats.zeros(n_pixels)
@@ -612,8 +612,7 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
             cube[first : first + solution.shape[1]] = solution.T
             stats.put(first, tile_stats)
 
-    block_type = _BLOCK_TYPES[algorithm]
-    if jobs == 1:
+    if jobs <= 1:
         fill(_solve_block(ys.T, dictionary, config, block_type) for ys in tiles)
     else:
         with ProcessPoolExecutor(

@@ -113,6 +113,19 @@ class TestLeastSquares:
         # the minimum-norm split puts 1.5 on each copy
         np.testing.assert_allclose(s, [1.5, 1.5], atol=1e-10)
 
+    def test_full_rank_ill_conditioned_system_is_solved_to_cond_eps(self):
+        # singular values 1 .. 1e-8 all lie above RANK_RTOL: no rank is cut,
+        # and the planted solution comes back to about cond(b) * eps
+        m, k, cond = 12, 5, 1e8
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            u, _ = np.linalg.qr(rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
+            v, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+            b = (u * np.logspace(0, -np.log10(cond), k)) @ v.conj().T
+            x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            s = least_squares(b, b @ x)
+            assert np.linalg.norm(s - x) <= cond * np.finfo(float).eps * np.linalg.norm(x)
+
     def test_underdetermined_matches_pinv(self):
         rng = np.random.default_rng(3)
         b = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
@@ -132,7 +145,7 @@ class TestLeastSquares:
 
 
 class TestGramLeastSquares:
-    def test_matches_the_qr_solve_on_partial_dft_supports(self):
+    def test_matches_the_svd_solve_on_partial_dft_supports(self):
         rng = np.random.default_rng(4)
         for seed in range(20):
             d = partial_fourier(64, 26, seed)
@@ -143,7 +156,7 @@ class TestGramLeastSquares:
             expected = least_squares(b, y)
             assert np.linalg.norm(s - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_refinement_keeps_an_ill_conditioned_support_at_qr_accuracy(self):
+    def test_refinement_keeps_an_ill_conditioned_support_at_svd_accuracy(self):
         # column 5 is column 2 plus a 1e-3 multiple of column 9: cond(b) ~ 2e3,
         # within GRAM_RTOL; the uncorrected normal equations miss by ~5e-10
         d = partial_fourier(16, 7, 0)
@@ -158,7 +171,7 @@ class TestGramLeastSquares:
     # an exact copy fails the factorization; a 1e-6 perturbation factors
     # but fails the GRAM_RTOL diagonal test
     @pytest.mark.parametrize("perturbation", [0.0, 1e-6])
-    def test_duplicated_column_falls_back_to_the_qr_solve(self, perturbation):
+    def test_duplicated_column_falls_back_to_the_svd_solve(self, perturbation):
         d = partial_fourier(16, 7, 0)
         matrix = d.matrix.copy()
         matrix[:, 5] = matrix[:, 2] + perturbation * matrix[:, 9]

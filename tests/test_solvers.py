@@ -1,5 +1,6 @@
 """Solver behavior: configs, stop rule, closed forms, recovery, cube runs."""
 
+import functools
 import os
 
 import numpy as np
@@ -297,7 +298,33 @@ class TestNumericalFailure:
         assert info.value.iteration == 1
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count each pool
+    asks for and solves the tiles in this process."""
+
+    def __init__(self, workers, max_workers, initializer, initargs):
+        workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 class TestRecoverCube:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the pools recover_cube builds, in order."""
+        workers = []
+        monkeypatch.setattr("hypercs.solvers.ProcessPoolExecutor", functools.partial(RecordingPool, workers))
+        monkeypatch.setattr("hypercs.solvers._POOL", {})
+        return workers
+
     @pytest.fixture
     def measured(self):
         rng = np.random.default_rng(8)
@@ -337,6 +364,23 @@ class TestRecoverCube:
         np.testing.assert_array_equal(serial, pooled)
         assert stats1.total_iterations == stats2.total_iterations
         assert stats1.n_converged == stats2.n_converged
+
+    def test_workers_are_capped_at_the_tile_count(self, measured, pools):
+        d, _, meas = measured
+        cfg = SolverConfig(kappa=2, atoms_per_iter=1, time_limit=None, max_iter=50)
+        serial, _ = recover_cube(meas[:, :2], d, cfg, "gomp", jobs=1)
+        pooled, _ = recover_cube(meas[:, :2], d, cfg, "gomp", jobs=8)
+        assert pools == [4]  # 2 x 2 pixels, one tile each
+        np.testing.assert_array_equal(pooled, serial)
+        recover_cube(meas[:1, :1], d, cfg, "gomp", jobs=2)
+        assert pools == [4]  # one tile runs in this process
+
+    @pytest.mark.parametrize("name", GREEDY_SOLVERS)
+    def test_greedy_config_is_checked_before_any_pool(self, measured, pools, name):
+        d, _, meas = measured
+        with pytest.raises(ValueError):
+            recover_cube(meas, d, SolverConfig(kappa=d.m + 1), name, jobs=2)
+        assert pools == []
 
     def test_admm_cube_run_uses_the_cached_factorization(self, measured, monkeypatch):
         # one eigendecomposition, built in the parent before the workers fork
