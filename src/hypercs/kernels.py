@@ -5,6 +5,7 @@ A "support" is a sorted 1-D integer array of distinct column indexes.
 """
 
 import ctypes
+import functools
 import os
 
 import numpy as np
@@ -63,6 +64,13 @@ def one_blas_thread():
     return counts
 
 
+def matvecs(matrix, v):
+    """matrix @ v for each vector on v's last axis: one matrix-vector product
+    per vector, so a stack of unit-stride vectors is bit for bit the
+    per-vector results."""
+    return np.matmul(matrix, np.asarray(v)[..., None])[..., 0]
+
+
 def soft_threshold(v, t):
     """Complex soft threshold: shrink each magnitude by t, keep the phase.
 
@@ -83,13 +91,16 @@ def argmax_k(v, k):
     """Indexes of the k largest-magnitude entries of v, sorted ascending.
 
     Ties are broken toward the lowest index so the result is deterministic.
+    For an (..., n) stack, each vector on the last axis gets its own k
+    indexes, exactly those of a call on that vector alone.
     """
     v = np.asarray(v)
-    if not 1 <= k <= v.size:
-        raise ValueError(f"k must be in [1, {v.size}], got {k}")
+    n = v.shape[-1]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
     # stable sort on -|v|: equal magnitudes keep their original (ascending) order
-    order = np.argsort(-np.abs(v), kind="stable")
-    return np.sort(order[:k])
+    order = np.argsort(-np.abs(v), axis=-1, kind="stable")
+    return np.sort(order[..., :k], axis=-1)
 
 
 def least_squares(b, y):
@@ -113,6 +124,12 @@ def least_squares(b, y):
     return s
 
 
+@functools.cache
+def _cholesky_routines(dtype):
+    """LAPACK's (potrf, potrs) for a dtype, looked up once."""
+    return scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
+
+
 def gram_least_squares(b, gram, y):
     """Solve min_s ||b s - y||_2 through the normal equations, gram = b^H b.
 
@@ -125,10 +142,10 @@ def gram_least_squares(b, gram, y):
     times its largest); least_squares then solves the system.  A non-finite
     y gives a non-finite s without raising.
     """
-    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (b, y))
+    potrf, potrs = _cholesky_routines(np.result_type(b, y))
     factor, info = potrf(gram)
-    diag = factor.diagonal().real
-    if info != 0 or diag.min() <= GRAM_RTOL * diag.max():
+    diag = factor.diagonal().real.tolist()  # a few entries: faster as floats
+    if info != 0 or min(diag) <= GRAM_RTOL * max(diag):
         return None
     bh = b.conj().T
     s, _ = potrs(factor, bh @ y)

@@ -14,9 +14,10 @@ sharing A, a single pixel being a one-column block; each solver supplies
 the step.  fista and admm minimize the lasso objective
     H(x) = 0.5 * ||A x - y||^2 + lam * ||x||_1
 with block products; gomp, biht and cosamp greedily build a support of at
-most kappa atoms per column, each column with its own matrix-vector
-products.  Solvers draw no randomness, so results are reproducible bit for bit when
-the time budget is disabled.
+most kappa atoms per column with block-wide projections, top-k picks,
+prunes and residuals, and a least-squares refit column by column, so each
+pixel's iterates are the ones it gets alone.  Solvers draw no randomness, so
+results are reproducible bit for bit when the time budget is disabled.
 """
 
 import math
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import argmax_k, gram_least_squares, least_squares, one_blas_thread, residual_delta, soft_threshold
+from .kernels import (argmax_k, gram_least_squares, least_squares, matvecs, one_blas_thread, residual_delta,
+                      soft_threshold)
 
 
 class NumericalFailure(RuntimeError):
@@ -243,12 +245,30 @@ class _AdmmBlock:
         self.penalize(self.alpha[cols])
 
 
+def _mark(mask, indexes):
+    """Set each row of a (k, n) boolean mask at that row's indexes."""
+    np.put_along_axis(mask, indexes, True, axis=-1)
+    return mask
+
+
+def _prune(x, candidates, kappa):
+    """Mask of the kappa largest-magnitude candidate entries of each row of
+    x, all of them where a row has at most kappa candidates.  One stable
+    sort per row, on -|x| inside the candidates and +inf outside, breaks
+    ties toward the lowest index as argmax_k does."""
+    order = np.argsort(np.where(candidates, -np.abs(x), np.inf), axis=-1, kind="stable")
+    return _mark(np.zeros_like(candidates), order[:, :kappa]) & candidates
+
+
 class _GreedyBlock:
     """Greedy pursuit on an (n, k) block of pixel columns.
 
-    Each column keeps its own support and iterate and runs its solver's
-    per-pixel update with matrix-vector products, so a column computes in a
-    block exactly what it computes alone.  A column whose candidate support
+    Each column's iterate and support are rows of a (k, n) array and of a
+    (k, n) boolean mask.  An iteration takes the residual projections, the
+    candidate picks and prunes (a stable sort per row) and the residuals of
+    all columns at once, and refits column by column.  A stacked product is
+    one matrix-vector product per column, so a column computes in a block
+    exactly what it computes alone.  A column whose candidate support
     outgrows the m measurements halts and keeps its last iterate.
     Subclasses pick the candidates and may override the fit.
     """
@@ -259,49 +279,53 @@ class _GreedyBlock:
         self.ah = a.conj().T
         self.gram = dictionary.gram
         self.config = config
-        self.x = np.zeros((a.shape[1], y.shape[1]), dtype=np.complex128)
-        self.supports = [np.empty(0, dtype=np.intp)] * y.shape[1]
+        self.x = np.zeros((y.shape[1], a.shape[1]), dtype=np.complex128)
+        self.support = np.zeros(self.x.shape, dtype=bool)
 
     def step(self, y, residual):
         """One iteration on every column; returns the new residuals and the
         columns that halted, whose iterate and residual stay as they were."""
-        residual = residual.copy()
-        halted = np.zeros(y.shape[1], dtype=bool)
-        for j in range(y.shape[1]):
-            y_j = y[:, j].copy()
-            support = self.candidates(j, self.ah @ residual[:, j].copy())
-            if support.size > self.a.shape[0]:
-                halted[j] = True
-                continue
-            x, self.supports[j] = self.fit(support, y_j)
-            self.x[:, j] = x
-            residual[:, j] = y_j - self.a @ x
-        return residual, halted
+        # one row per column, contiguous: a stacked product row by row is
+        # then bit for bit the single column's product
+        residual = residual.T.copy()
+        candidates = self.candidates(matvecs(self.ah, residual))
+        fits = np.count_nonzero(candidates, axis=1) <= self.a.shape[0]
+        y = np.ascontiguousarray(y.T[fits])
+        self.x[fits], self.support[fits] = self.fit(candidates[fits], y)
+        residual[fits] = y - matvecs(self.a, self.x[fits])
+        return np.ascontiguousarray(residual.T), ~fits
 
     def solve(self, support, y):
         """Least squares of y on the support's atoms, through the support's
         block of the shared Gram matrix; the minimum-norm SVD solve where
         that block is numerically singular."""
         b = self.a[:, support]
-        s = gram_least_squares(b, self.gram[np.ix_(support, support)], y)
+        s = gram_least_squares(b, self.gram[support[:, None], support], y)
         return least_squares(b, y) if s is None else s
 
-    def fit(self, support, y):
+    def refit(self, supports, y):
+        """solve for each row of y on the atoms of its row of a (k, n)
+        supports mask, the block's one loop over columns: the (k, n)
+        least-squares iterates, zero off the supports."""
+        x = np.zeros(supports.shape, dtype=np.complex128)
+        for j, support in enumerate(supports):
+            support = np.flatnonzero(support)
+            x[j, support] = self.solve(support, y[j])
+        return x
+
+    def fit(self, candidates, y):
         """Least squares on the candidates, pruned to the kappa strongest
-        entries: (iterate, kept support)."""
-        s = self.solve(support, y)
-        keep = argmax_k(s, min(self.config.kappa, s.size))
-        x = np.zeros(self.a.shape[1], dtype=np.complex128)
-        x[support[keep]] = s[keep]
-        return x, support[keep]
+        entries: (iterates, kept supports)."""
+        x = self.refit(candidates, y)
+        kept = _prune(x, candidates, self.config.kappa)
+        return np.where(kept, x, 0), kept
 
     @property
     def solution(self):
-        return self.x
+        return self.x.T
 
     def keep(self, cols):
-        self.x = self.x[:, cols]
-        self.supports = [self.supports[j] for j in np.flatnonzero(cols)]
+        self.x, self.support = self.x[cols], self.support[cols]
 
 
 class _GompBlock(_GreedyBlock):
@@ -317,20 +341,19 @@ class _GompBlock(_GreedyBlock):
         if not config.atoms_per_iter <= config.kappa <= m:
             raise ValueError(f"need atoms_per_iter <= kappa <= {m}")
 
-    def candidates(self, j, p):
+    def candidates(self, p):
         # 1. strongest residual projections extend the accumulated support
-        return np.union1d(self.supports[j], argmax_k(p, self.config.atoms_per_iter))
+        return _mark(self.support.copy(), argmax_k(p, self.config.atoms_per_iter))
 
-    def fit(self, support, y):
-        n = self.a.shape[1]
+    def fit(self, candidates, y):
         # 2. least squares on the accumulated atoms
-        x = np.zeros(n, dtype=np.complex128)
-        x[support] = self.solve(support, y)
-        # 3. prune to the kappa strongest entries and re-fit on those
-        top = argmax_k(x, self.config.kappa)
-        x = np.zeros(n, dtype=np.complex128)
-        x[top] = self.solve(top, y)
-        return x, support
+        x = self.refit(candidates, y)
+        # 3. prune to the kappa strongest entries and re-fit on those; a
+        #    column whose prune kept its support has its re-fit already
+        top = _mark(np.zeros_like(candidates), argmax_k(x, self.config.kappa))
+        redo = (top != candidates).any(axis=1)
+        x[redo] = self.refit(top[redo], y[redo])
+        return x, candidates
 
 
 class _BihtBlock(_GreedyBlock):
@@ -349,14 +372,11 @@ class _BihtBlock(_GreedyBlock):
         if config.kappa > m:
             raise ValueError(f"kappa must be <= {m}")
 
-    def candidates(self, j, g):
+    def candidates(self, g):
         # 1. top entries of the gradient step + current support + the
         #    strongest residual projection
-        x = self.x[:, j]
-        u = x + self.config.mu * g
-        return np.unique(
-            np.concatenate((argmax_k(u, self.config.kappa), np.flatnonzero(x), argmax_k(g, 1)))
-        )
+        u = self.x + self.config.mu * g
+        return _mark(_mark(self.x != 0, argmax_k(u, self.config.kappa)), argmax_k(g, 1))
 
 
 class _CosampBlock(_GreedyBlock):
@@ -373,8 +393,8 @@ class _CosampBlock(_GreedyBlock):
         if config.kappa > m:
             raise ValueError(f"kappa must be <= {m}")
 
-    def candidates(self, j, p):
-        return np.union1d(self.supports[j], argmax_k(p, 2 * self.config.kappa))
+    def candidates(self, p):
+        return _mark(self.support.copy(), argmax_k(p, 2 * self.config.kappa))
 
 
 @dataclass

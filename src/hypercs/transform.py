@@ -13,6 +13,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from .kernels import matvecs
+
 
 @dataclass
 class DftBasis:
@@ -33,12 +35,11 @@ def build_dft_basis(n):
 
 
 def _apply(matrix, v, what):
-    """matrix @ v for each vector on v's last axis: one matrix-vector product
-    per vector, so a stack is bit for bit the per-vector results."""
+    """matvecs after checking the length of v's vectors."""
     v = np.asarray(v)
     if v.shape[-1:] != (matrix.shape[1],):
         raise ValueError(f"{what} length does not match the basis")
-    return np.matmul(matrix, v[..., None])[..., 0]
+    return matvecs(matrix, v)
 
 
 def to_sparse_domain(f, basis):

@@ -87,6 +87,35 @@ class TestArgmaxK:
         with pytest.raises(ValueError):
             argmax_k(np.array([1.0, 2.0]), 3)
 
+    def test_each_row_of_a_stack_is_picked_as_alone(self):
+        # rows longer than 16 entries, where an unstable sort breaks ties
+        # differently, with tied magnitudes and exact zeros
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((6, 40)) + 1j * rng.standard_normal((6, 40))
+        rows[1, [2, 5, 7, 11]] = [9.0, -9.0, 9j, 9.0]
+        rows[2] = np.round(rows[2].real)  # ties among small integers and zeros
+        rows[3] = 0.0
+        rows[4, ::2] = 0.0
+        rows[5] = rng.integers(-2, 3, size=40) * np.exp(0.5j * np.pi * rng.integers(0, 4, size=40))
+        for k in (1, 3, 4, 21, 40):
+            stacked = argmax_k(rows, k)
+            assert stacked.shape == (6, k)
+            for row, picked in zip(rows, stacked):
+                np.testing.assert_array_equal(picked, argmax_k(row, k))
+                # the definition: magnitude first, then the lowest index
+                expected = sorted(range(40), key=lambda i: (-abs(row[i]), i))[:k]
+                np.testing.assert_array_equal(picked, sorted(expected))
+            np.testing.assert_array_equal(argmax_k(rows.reshape(2, 3, 40), k), stacked.reshape(2, 3, k))
+        np.testing.assert_array_equal(argmax_k(rows[1:2], 3), [[2, 5, 7]])
+        np.testing.assert_array_equal(argmax_k(rows[3:4], 2), [[0, 1]])
+
+    def test_k_is_checked_against_the_last_axis(self):
+        assert argmax_k(np.ones((5, 4)), 4).shape == (5, 4)
+        with pytest.raises(ValueError):
+            argmax_k(np.ones((5, 4)), 5)
+        with pytest.raises(ValueError):
+            argmax_k(np.ones((5, 4)), 0)
+
 
 class TestLeastSquares:
     def test_square_system_matches_direct_solve(self):
@@ -191,6 +220,21 @@ class TestGramLeastSquares:
         y[2] = np.nan
         s = gram_least_squares(b, d.gram[np.ix_(support, support)], y)
         assert s.shape == (3,) and not np.isfinite(s).any()
+
+    def test_real_and_complex_systems_each_get_their_own_routines(self):
+        # the LAPACK routines are looked up once per dtype: a real system
+        # solved between two complex ones stays real, and each matches the
+        # SVD solve
+        rng = np.random.default_rng(6)
+        for dtype in (complex, float, complex):
+            b = rng.standard_normal((9, 4)).astype(dtype)
+            y = rng.standard_normal(9).astype(dtype)
+            if dtype is complex:
+                b, y = b + 1j * rng.standard_normal((9, 4)), y + 0.5j
+            s = gram_least_squares(b, b.conj().T @ b, y)
+            assert s.dtype == np.result_type(dtype)
+            expected = least_squares(b, y)
+            assert np.linalg.norm(s - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestResidualDelta:

@@ -23,7 +23,8 @@ from hypercs import (
     recover_cube,
     stop_check,
 )
-from hypercs.solvers import _AdmmBlock
+from hypercs.kernels import argmax_k, one_blas_thread
+from hypercs.solvers import _AdmmBlock, _GompBlock, _prune
 
 from helpers import desk_scene, partial_fourier, planted_instance
 
@@ -531,3 +532,81 @@ class TestRecoverCube:
             recover_cube(meas[:, :, :5], d, SolverConfig(), "fista")
         with pytest.raises(ValueError):
             recover_cube(meas[0], d, SolverConfig(), "fista")
+
+
+class TestGreedyTiles:
+    """Greedy tiles whose columns hold candidate sets of different sizes, on
+    rows of a desk-greedy-shaped scene (16x16x128, kappa_true 8, seed 2):
+    m = 51, n = 128."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        # one OpenBLAS thread, as every command runs: on more, a busy host
+        # slows the 200-iteration pixel's small products a hundredfold
+        one_blas_thread()
+        d, meas = desk_scene(16, 16, 128, 8, 2, 0.01)
+        # row 4 holds gomp's 11-iteration pixel, row 14 cosamp's
+        # 200-iteration pixel at kappa 16 and rows 12-15 its 3- and
+        # 4-iteration ones
+        return d, meas[[4, 12, 13, 14, 15]]
+
+    # cosamp kappa 16: candidate sets of 32 to 48 atoms; cosamp kappa 18:
+    # up to 54 > m, so some columns halt while others run on
+    @pytest.mark.parametrize("name, kappa", [("cosamp", 16), ("gomp", 8), ("biht", 8), ("cosamp", 18)])
+    def test_every_column_matches_its_single_pixel_solve(self, scene, name, kappa):
+        d, meas = scene
+        cfg = SolverConfig(kappa=kappa, time_limit=None, max_iter=200)
+        cube, stats = recover_cube(meas, d, cfg, name)
+        halted = ~stats.converged & (stats.iterations < cfg.max_iter)
+        if kappa == 18:
+            assert halted.any() and stats.converged.any()
+        else:
+            assert not halted.any()
+        for index in range(stats.n_pixels):
+            ix, iy = divmod(index, meas.shape[1])
+            single = SOLVERS[name](meas[ix, iy], d, cfg)
+            assert cube[ix, iy].tobytes() == single.x.tobytes()
+            assert stats.iterations[index] == single.iterations
+            assert stats.converged[index] == single.converged
+            # the residuals are bit for bit the single ones, but residual_delta
+            # sums a column of an (m, k) block in another order than a lone
+            # column once m >= 8, so the delta may differ in its last bits
+            assert stats.final_delta[index] == pytest.approx(single.final_delta, rel=1e-15, abs=0)
+
+    def test_gomp_skips_only_a_refit_that_repeats_the_first(self, scene):
+        # rows of 3, 4 and 5 accumulated atoms at kappa 4: only a 4-atom row
+        # whose prune keeps it skips the second solve, and every row's
+        # iterate is the bytes of refitting on its kappa strongest atoms
+        d, meas = scene
+        y = np.ascontiguousarray(meas.reshape(-1, d.m)[:30])
+        block = _GompBlock(d.matrix, y.T, d, SolverConfig(kappa=4, time_limit=None))
+        rng = np.random.default_rng(5)
+        candidates = np.zeros((30, d.n), dtype=bool)
+        for row, size in zip(candidates, np.repeat([3, 4, 5], 10)):
+            row[rng.choice(d.n, size=size, replace=False)] = True
+        x, kept = block.fit(candidates, y)
+        np.testing.assert_array_equal(kept, candidates)
+        first = block.refit(candidates, y)
+        top = np.zeros_like(candidates)
+        for row, values in zip(top, first):
+            row[argmax_k(values, 4)] = True
+        assert (top == candidates).all(axis=1)[10:20].all()
+        assert x.tobytes() == block.refit(top, y).tobytes()
+
+    def test_prune_keeps_the_kappa_strongest_candidates_of_each_row(self):
+        # the row-wise prune against argmax_k on each row's candidate
+        # entries alone, kappa capped at the candidate count
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((40, 20)) + 1j * rng.standard_normal((40, 20))
+        x[::3] = np.round(x[::3].real)  # ties among small integers, exact zeros
+        x[1::5, :8] = 2.0
+        candidates = rng.uniform(size=x.shape) < rng.uniform(0.05, 0.9, size=(40, 1))
+        candidates[np.arange(40), rng.integers(0, 20, size=40)] = True  # one at least
+        candidates[0] = False
+        candidates[0, 4] = True
+        for kappa in (1, 3, 6, 20):
+            kept = _prune(x, candidates, kappa)
+            for row, cand, keep in zip(x, candidates, kept):
+                support = np.flatnonzero(cand)
+                expected = support[argmax_k(row[support], min(kappa, support.size))]
+                np.testing.assert_array_equal(np.flatnonzero(keep), expected)
