@@ -8,6 +8,7 @@ are read too).  ENVI cubes (BSQ/BIL/BIP,
 data types 4, 5 and 12) are read-only.
 """
 
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -93,25 +94,25 @@ def load_cube(path, kind=None):
 
 
 def _load_native(path):
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 + NATIVE_HEADER.size or raw[:4] != NATIVE_MAGIC:
-        raise CubeFormatError(f"{path}: not a native cube file")
-    x, y, bands = NATIVE_HEADER.unpack_from(raw, 4)
-    if min(x, y, bands) < 1:
-        raise CubeFormatError(f"{path}: degenerate dimensions {x} x {y} x {bands}")
-    count = x * y * bands
+    """The samples are read straight into the cube's array: f8 needs no copy."""
     offset = 4 + NATIVE_HEADER.size
-    for size in (8, 4):
-        if len(raw) - offset == count * size:
-            dtype = "<f8" if size == 8 else "<f4"
-            data = np.frombuffer(raw, dtype=dtype, offset=offset).astype(np.float64)
-            try:
-                return HsiCube(data=data.reshape(x, y, bands))
-            except ValueError as exc:
-                raise CubeFormatError(f"{path}: {exc}") from None
-    raise CubeFormatError(
-        f"{path}: payload holds {len(raw) - offset} bytes, expected {count} samples"
-    )
+    with open(path, "rb") as fh:
+        head = fh.read(offset)
+        if len(head) < offset or head[:4] != NATIVE_MAGIC:
+            raise CubeFormatError(f"{path}: not a native cube file")
+        x, y, bands = NATIVE_HEADER.unpack_from(head, 4)
+        if min(x, y, bands) < 1:
+            raise CubeFormatError(f"{path}: degenerate dimensions {x} x {y} x {bands}")
+        count = x * y * bands
+        payload = os.fstat(fh.fileno()).st_size - offset
+        for size in (8, 4):
+            if payload == count * size:
+                data = np.fromfile(fh, dtype="<f8" if size == 8 else "<f4", count=count)
+                try:
+                    return HsiCube(data=data.reshape(x, y, bands))
+                except ValueError as exc:
+                    raise CubeFormatError(f"{path}: {exc}") from None
+    raise CubeFormatError(f"{path}: payload holds {payload} bytes, expected {count} samples")
 
 
 def _find_envi_header(path):

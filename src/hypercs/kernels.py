@@ -1,7 +1,6 @@
 """Small dense linear-algebra kernels shared by the recovery solvers.
 
 Vectors may be real or complex; everything is computed in double precision.
-A "support" is a sorted 1-D integer array of distinct column indexes.
 """
 
 import ctypes
@@ -75,8 +74,8 @@ def soft_threshold(v, t):
     """Complex soft threshold: shrink each magnitude by t, keep the phase.
 
     Entries with |v_i| <= t map to exactly 0.  For real input this is the
-    usual sign(v) * max(|v| - t, 0).  t is a scalar, or for an (n, k) v a
-    row of k per-column thresholds.
+    usual sign(v) * max(|v| - t, 0).  t is a scalar, or for a (k, n) stack
+    of rows v a (k, 1) column of per-row thresholds.
     """
     if (np.asarray(t) < 0).any():
         raise ValueError("threshold must be >= 0")
@@ -156,13 +155,11 @@ def gram_least_squares(b, gram, y):
 def residual_delta(r, r_prev):
     """l2 distance between consecutive residuals, the solver stop signal.
 
-    A float for 1-D residuals; for (m, k) blocks of residual columns, the
-    array of the k column distances.
+    For an (..., m) stack of residual rows, the distance of each row; a row
+    of a stack gets, bit for bit, the distance of a call on that row alone.
     """
     r = np.asarray(r)
     r_prev = np.asarray(r_prev)
     if r.shape != r_prev.shape:
         raise ValueError("residual lengths differ")
-    if r.ndim == 2:
-        return np.linalg.norm(r - r_prev, axis=0)
-    return float(np.linalg.norm(r - r_prev))
+    return np.linalg.norm(r - r_prev, axis=-1)

@@ -9,14 +9,14 @@ out, or an iteration cap is hit; the distance starts at 1 so every solver
 performs at least one iteration (except for y = 0, which short-circuits to
 the zero vector).
 
-One loop, _solve_block, iterates every solver on a block of pixel columns
-sharing A, a single pixel being a one-column block; each solver supplies
-the step.  fista and admm minimize the lasso objective
+One loop, _solve_block, iterates every solver on a block of pixel rows
+sharing A, a single pixel being a one-row block; each solver supplies the
+step.  fista and admm minimize the lasso objective
     H(x) = 0.5 * ||A x - y||^2 + lam * ||x||_1
 with block products; gomp, biht and cosamp greedily build a support of at
-most kappa atoms per column with block-wide projections, top-k picks,
-prunes and residuals, and a least-squares refit column by column, so each
-pixel's iterates are the ones it gets alone.  Solvers draw no randomness, so
+most kappa atoms per row with block-wide projections, top-k picks, prunes
+and residuals, and a least-squares refit row by row, so each pixel's
+iterates are the ones it gets alone.  Solvers draw no randomness, so
 results are reproducible bit for bit when the time budget is disabled.
 """
 
@@ -100,12 +100,12 @@ class SolverResult:
 
 
 def stop_check(delta, charge, iterations, config):
-    """Stop rule shared by every solver, applied column by column before
+    """Stop rule shared by every solver, applied pixel by pixel before
     each iteration of a block.
 
-    delta and charge are the columns' residual deltas and time charges,
-    iterations the count every column of the block has completed.  Returns
-    the boolean arrays (converged, stopped): a column stops when it
+    delta and charge are the pixels' residual deltas and time charges,
+    iterations the count every pixel of the block has completed.  Returns
+    the boolean arrays (converged, stopped): a pixel stops when it
     converged (delta < epsilon, strictly), else when its charge reached the
     time budget, else at the iteration cap; only the first counts as
     converged.
@@ -132,9 +132,9 @@ ADMM_TAU = 2.0
 ADMM_MU = 10.0
 
 
-def _squared_column_norms(v):
-    """||v_j||^2 of each column of a complex (n, k) block."""
-    return (v.real**2 + v.imag**2).sum(axis=0)
+def _squared_row_norms(v):
+    """||v_j||^2 of each row of a complex (k, n) block, as a (k, 1) column."""
+    return (v.real**2 + v.imag**2).sum(axis=-1, keepdims=True)
 
 
 def _fista_momentum(t):
@@ -142,26 +142,27 @@ def _fista_momentum(t):
 
 
 class _FistaBlock:
-    """FISTA (Beck & Teboulle 2009) on an (n, k) block of pixel columns.
+    """FISTA (Beck & Teboulle 2009) on a (k, n) block of pixel rows, which
+    take A as x @ A^T and A^H as r @ conj(A).
 
     The momentum weight t depends only on the iteration number, which every
-    active column shares, so one scalar serves the whole block.
+    active row shares, so one scalar serves the whole block.
     """
 
     def __init__(self, a, y, dictionary, config):
-        self.a = a
-        self.ah = a.conj().T
+        self.at = a.T
+        self.ac = a.conj()
         self.inv_l = 1.0 / dictionary.lipschitz
         self.threshold = config.lam * self.inv_l
-        self.x = np.zeros((a.shape[1], y.shape[1]), dtype=np.complex128)
+        self.x = np.zeros((len(y), a.shape[1]), dtype=np.complex128)
         self.z = self.x
         self.t = 1.0
 
     def step(self, y, residual):
         """One iteration; returns the residual of the new iterate and the
-        columns that halted (none)."""
+        rows that halted (none)."""
         # 1. gradient step on the quadratic term at the extrapolated point
-        aux = self.z - self.inv_l * (self.ah @ (self.a @ self.z - y))
+        aux = self.z - self.inv_l * ((self.z @ self.at - y) @ self.ac)
         # 2. proximal shrinkage
         x_new = soft_threshold(aux, self.threshold)
         # 3. momentum weight update
@@ -169,56 +170,58 @@ class _FistaBlock:
         # 4. extrapolation
         self.z = x_new + ((self.t - 1.0) / t_new) * (x_new - self.x)
         self.x, self.t = x_new, t_new
-        return y - self.a @ self.x, np.zeros(y.shape[1], dtype=bool)
+        return y - self.x @ self.at, np.zeros(len(y), dtype=bool)
 
     @property
     def solution(self):
         return self.x
 
-    def keep(self, cols):
-        self.x, self.z = self.x[:, cols], self.z[:, cols]
+    def keep(self, rows):
+        self.x, self.z = self.x[rows], self.z[rows]
 
 
 class _AdmmBlock:
-    """Scaled-dual ADMM on an (n, k) block of pixel columns, each column with
-    its own penalty alpha_j, starting at config.alpha.
+    """Scaled-dual ADMM on a (k, n) block of pixel rows, each row with its
+    own penalty alpha_j, starting at config.alpha; the penalties are a
+    (k, 1) column.
 
     The x-update solves (A^H A + alpha_j I) x = A^H y + alpha_j (z - w) by
     Woodbury on the dictionary's eigendecomposition of A A^H, which serves
-    every penalty.  Each iteration then balances each column's penalty by
-    its own residuals (Boyd et al. 2011, section 3.4.1): alpha_j is
+    every penalty; rows take the factor's products from the right, as
+    _FistaBlock takes A.  Each iteration then balances each row's penalty
+    by its own residuals (Boyd et al. 2011, section 3.4.1): alpha_j is
     multiplied by ADMM_TAU when the primal residual ||x - z|| exceeds
     ADMM_MU times the dual residual alpha_j ||z - z_prev||, divided by
     ADMM_TAU in the converse case, and w_j rescaled by alpha_old / alpha_new.
-    A column thus computes in a block what it computes alone, to round-off.
+    A row thus computes in a block what it computes alone, to round-off.
     """
 
     def __init__(self, a, y, dictionary, config):
-        self.eigenvalues, self.q, self.qa = dictionary.admm_factor()
-        self.qah = self.qa.conj().T
-        self.b = a.conj().T @ y
+        self.eigenvalues, q, qa = dictionary.admm_factor()
+        self.qt, self.qat, self.qac = q.T, qa.T, qa.conj()
+        self.b = y @ a.conj()
         self.lam = config.lam
-        self.z = np.zeros((a.shape[1], y.shape[1]), dtype=np.complex128)
+        self.z = np.zeros((len(y), a.shape[1]), dtype=np.complex128)
         self.w = np.zeros_like(self.z)
-        self.penalize(np.full(y.shape[1], config.alpha))
+        self.penalize(np.full((len(y), 1), config.alpha))
 
     def penalize(self, alpha):
-        """Set the columns' penalties and the factors the iteration takes from them."""
+        """Set the rows' penalties and the factors the iteration takes from them."""
         self.alpha, self.inv_alpha = alpha, 1.0 / alpha
-        self.damping = 1.0 / (self.eigenvalues[:, None] + alpha)
+        self.damping = 1.0 / (self.eigenvalues + alpha)
 
     def step(self, y, residual):
         """One iteration; returns the residual of the x iterate, which feeds
-        the stop rule, and the columns that halted (none).  The solution is
+        the stop rule, and the rows that halted (none).  The solution is
         the sparse iterate z."""
         # 1. quadratic solve by Woodbury, in place on u = A^H y + alpha (z - w);
         #    v = Q^H A x
         x = self.z - self.w
         x *= self.alpha
         x += self.b
-        v = self.qa @ x
+        v = x @ self.qat
         v *= self.damping
-        x -= self.qah @ v
+        x -= v @ self.qac
         x *= self.inv_alpha
         # 2. shrinkage step, the prox of the l1 term under the scaled dual
         w = x + self.w
@@ -226,23 +229,23 @@ class _AdmmBlock:
         # 3. dual update, w + x - z
         w -= z
         # 4. residual balancing on the squared residuals
-        primal = _squared_column_norms(x - z)
-        dual = self.alpha**2 * _squared_column_norms(z - self.z)
+        primal = _squared_row_norms(x - z)
+        dual = self.alpha**2 * _squared_row_norms(z - self.z)
         self.z, self.w = z, w
         up, down = primal > ADMM_MU**2 * dual, dual > ADMM_MU**2 * primal
         if up.any() or down.any():
             scale = np.where(up, ADMM_TAU, np.where(down, 1.0 / ADMM_TAU, 1.0))
             self.w *= 1.0 / scale  # exact: the scale is a power of two
             self.penalize(self.alpha * scale)
-        return y - self.q @ v, np.zeros(y.shape[1], dtype=bool)
+        return y - v @ self.qt, np.zeros(len(y), dtype=bool)
 
     @property
     def solution(self):
         return self.z
 
-    def keep(self, cols):
-        self.b, self.z, self.w = self.b[:, cols], self.z[:, cols], self.w[:, cols]
-        self.penalize(self.alpha[cols])
+    def keep(self, rows):
+        self.b, self.z, self.w = self.b[rows], self.z[rows], self.w[rows]
+        self.penalize(self.alpha[rows])
 
 
 def _mark(mask, indexes):
@@ -261,16 +264,15 @@ def _prune(x, candidates, kappa):
 
 
 class _GreedyBlock:
-    """Greedy pursuit on an (n, k) block of pixel columns.
+    """Greedy pursuit on a (k, n) block of pixel rows.
 
-    Each column's iterate and support are rows of a (k, n) array and of a
-    (k, n) boolean mask.  An iteration takes the residual projections, the
-    candidate picks and prunes (a stable sort per row) and the residuals of
-    all columns at once, and refits column by column.  A stacked product is
-    one matrix-vector product per column, so a column computes in a block
-    exactly what it computes alone.  A column whose candidate support
-    outgrows the m measurements halts and keeps its last iterate.
-    Subclasses pick the candidates and may override the fit.
+    Each row's support is a row of a (k, n) boolean mask.  An iteration
+    takes the residual projections, the candidate picks and prunes (a
+    stable sort per row) and the residuals of all rows at once, and refits
+    row by row.  A stacked product is one matrix-vector product per row, so
+    a row computes in a block exactly what it computes alone.  A row whose
+    candidate support outgrows the m measurements halts and keeps its last
+    iterate.  Subclasses pick the candidates and may override the fit.
     """
 
     def __init__(self, a, y, dictionary, config):
@@ -279,21 +281,19 @@ class _GreedyBlock:
         self.ah = a.conj().T
         self.gram = dictionary.gram
         self.config = config
-        self.x = np.zeros((y.shape[1], a.shape[1]), dtype=np.complex128)
+        self.x = np.zeros((len(y), a.shape[1]), dtype=np.complex128)
         self.support = np.zeros(self.x.shape, dtype=bool)
 
     def step(self, y, residual):
-        """One iteration on every column; returns the new residuals and the
-        columns that halted, whose iterate and residual stay as they were."""
-        # one row per column, contiguous: a stacked product row by row is
-        # then bit for bit the single column's product
-        residual = residual.T.copy()
+        """One iteration on every row; returns the new residuals and the
+        rows that halted, whose iterate and residual stay as they were."""
         candidates = self.candidates(matvecs(self.ah, residual))
         fits = np.count_nonzero(candidates, axis=1) <= self.a.shape[0]
-        y = np.ascontiguousarray(y.T[fits])
+        y = y[fits]
         self.x[fits], self.support[fits] = self.fit(candidates[fits], y)
+        residual = residual.copy()
         residual[fits] = y - matvecs(self.a, self.x[fits])
-        return np.ascontiguousarray(residual.T), ~fits
+        return residual, ~fits
 
     def solve(self, support, y):
         """Least squares of y on the support's atoms, through the support's
@@ -305,7 +305,7 @@ class _GreedyBlock:
 
     def refit(self, supports, y):
         """solve for each row of y on the atoms of its row of a (k, n)
-        supports mask, the block's one loop over columns: the (k, n)
+        supports mask, the block's one loop over rows: the (k, n)
         least-squares iterates, zero off the supports."""
         x = np.zeros(supports.shape, dtype=np.complex128)
         for j, support in enumerate(supports):
@@ -322,10 +322,10 @@ class _GreedyBlock:
 
     @property
     def solution(self):
-        return self.x.T
+        return self.x
 
-    def keep(self, cols):
-        self.x, self.support = self.x[cols], self.support[cols]
+    def keep(self, rows):
+        self.x, self.support = self.x[rows], self.support[rows]
 
 
 class _GompBlock(_GreedyBlock):
@@ -349,7 +349,7 @@ class _GompBlock(_GreedyBlock):
         # 2. least squares on the accumulated atoms
         x = self.refit(candidates, y)
         # 3. prune to the kappa strongest entries and re-fit on those; a
-        #    column whose prune kept its support has its re-fit already
+        #    row whose prune kept its support has its re-fit already
         top = _mark(np.zeros_like(candidates), argmax_k(x, self.config.kappa))
         redo = (top != candidates).any(axis=1)
         x[redo] = self.refit(top[redo], y[redo])
@@ -399,8 +399,8 @@ class _CosampBlock(_GreedyBlock):
 
 @dataclass
 class RecoveryStats:
-    """Per-pixel record of a solve, one array entry per pixel column, and
-    the aggregates derived from it.
+    """Per-pixel record of a solve, one array entry per pixel, and the
+    aggregates derived from it.
 
     iterations, converged, elapsed (the time charge), final_delta and
     failed_at, the iteration at which the pixel's iterate or delta turned
@@ -455,76 +455,75 @@ class RecoveryStats:
 
 
 def _solve_block(ys, dictionary, config, block_type):
-    """Solve the pixel columns of an (m, k) measurement block together.
+    """Solve the pixel rows of a (k, m) measurement block together.
 
-    Returns the (n, k) solutions and the block's RecoveryStats; a column
-    whose iterate or delta turned non-finite is recorded as failed, its
-    solution left at zero.  Before each iteration stop_check's rule stops a
-    column when its delta drops below epsilon, else when its time charge
-    reaches the budget, else at the iteration cap; a greedy column whose
-    support outgrew the measurements stops unconverged with its last
-    completed iteration.  Stopped columns leave the block.  Each column is
-    charged an equal share of the block's set-up and of every iteration it
-    takes part in, so the charges of a solve sum to its wall time and a
-    single column is charged its wall time.  All-zero columns short-circuit
-    to the zero vector with 0 iterations, after the block type has
-    validated the config.
+    Returns the (k, n) solutions and the block's RecoveryStats; a row whose
+    iterate or delta turned non-finite is recorded as failed, its solution
+    left at zero.  Before each iteration stop_check's rule stops a row when
+    its delta drops below epsilon, else when its time charge reaches the
+    budget, else at the iteration cap; a greedy row whose support outgrew
+    the measurements stops unconverged with its last completed iteration.
+    Stopped rows leave the block.  Each row is charged an equal share of
+    the block's set-up and of every iteration it takes part in, so the
+    charges of a solve sum to its wall time and a single row is charged its
+    wall time.  All-zero rows short-circuit to the zero vector with 0
+    iterations, after the block type has validated the config.
     """
     start = time.perf_counter()
     a = dictionary.matrix
-    k = ys.shape[1]
-    solution = np.zeros((a.shape[1], k), dtype=np.complex128)
+    k = len(ys)
+    solution = np.zeros((k, a.shape[1]), dtype=np.complex128)
     stats = RecoveryStats.zeros(k)
-    nonzero = ys.any(axis=0)
+    nonzero = ys.any(axis=1)
     stats.converged[~nonzero] = True
-    cols = np.flatnonzero(nonzero)  # block column of each active column
-    y = ys[:, cols]
+    rows = np.flatnonzero(nonzero)  # block row of each active row
+    y = ys[rows]
     block = block_type(a, y, dictionary, config)
     residual = y
-    delta = np.ones(cols.size)  # starts at 1: at least one iteration
-    finite = np.ones(cols.size, dtype=bool)
-    halted = np.zeros(cols.size, dtype=bool)
+    delta = np.ones(rows.size)  # starts at 1: at least one iteration
+    finite = np.ones(rows.size, dtype=bool)
+    halted = np.zeros(rows.size, dtype=bool)
     iterations = 0
     mark = time.perf_counter()
     stats.elapsed[:] = (mark - start) / k
-    while cols.size:
+    while rows.size:
         now = time.perf_counter()
-        stats.elapsed[cols] += (now - mark) / cols.size
+        stats.elapsed[rows] += (now - mark) / rows.size
         mark = now
-        converged, stopped = stop_check(delta, stats.elapsed[cols], iterations, config)
+        converged, stopped = stop_check(delta, stats.elapsed[rows], iterations, config)
         stopped |= halted | ~finite
         if stopped.any():
             solved = stopped & finite
-            done = cols[solved]
-            solution[:, done] = block.solution[:, solved]
+            done = rows[solved]
+            solution[done] = block.solution[solved]
             stats.iterations[done] = iterations - halted[solved]
             stats.converged[done] = converged[solved]
             stats.final_delta[done] = delta[solved]
-            stats.failed_at[cols[stopped & ~finite]] = iterations
+            stats.failed_at[rows[stopped & ~finite]] = iterations
             keep = ~stopped
-            cols, y, residual, delta = cols[keep], y[:, keep], residual[:, keep], delta[keep]
-            if not cols.size:
+            rows, y, residual, delta = rows[keep], y[keep], residual[keep], delta[keep]
+            if not rows.size:
                 break
             block.keep(keep)
         residual_prev = residual
         residual, halted = block.step(y, residual)
-        # a halted column keeps the delta of its last completed iteration
+        # a halted row keeps the delta of its last completed iteration
         delta = np.where(halted, delta, residual_delta(residual, residual_prev))
         iterations += 1
-        finite = np.isfinite(delta) & np.isfinite(block.solution).all(axis=0)
+        finite = np.isfinite(delta) & np.isfinite(block.solution).all(axis=1)
     return solution, stats
 
 
 def _solve_pixel(y, dictionary, config, block_type):
-    """One pixel as a one-column block; raises NumericalFailure."""
+    """One pixel as a one-row block; raises NumericalFailure."""
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (dictionary.m,):
         raise ValueError(f"measurement length {y.shape} does not match {dictionary.m} rows")
-    solution, stats = _solve_block(y[:, None], dictionary, config, block_type)
+    solution, stats = _solve_block(y[None], dictionary, config, block_type)
     if stats.n_failed:
         raise NumericalFailure(int(stats.failed_at[0]))
     return SolverResult(
-        x=solution[:, 0],
+        x=solution[0],
         iterations=int(stats.iterations[0]),
         converged=bool(stats.converged[0]),
         elapsed=float(stats.elapsed[0]),
@@ -564,7 +563,7 @@ CONVEX_SOLVERS = ("fista", "admm")
 GREEDY_SOLVERS = ("gomp", "biht", "cosamp")
 
 
-# pixel columns one block iteration solves together at most;
+# pixels one block iteration solves together at most;
 # bounds the block's working arrays on a full-size scene
 TILE_PIXELS = 256
 
@@ -585,7 +584,7 @@ def _pool_init(dictionary, config, block_type):
 
 def _tile_solve(ys):
     """A tile of consecutive (k, m) pixels as one block: (solutions, stats)."""
-    return _solve_block(ys.T, _POOL["dictionary"], _POOL["config"], _POOL["block_type"])
+    return _solve_block(ys, _POOL["dictionary"], _POOL["config"], _POOL["block_type"])
 
 
 def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
@@ -613,7 +612,7 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     block_type = _BLOCK_TYPES[algorithm]
     # a block of no pixels checks the config and builds the dictionary state
     # the solver reads, once, before any worker forks
-    block_type(dictionary.matrix, np.empty((m, 0), dtype=np.complex128), dictionary, config)
+    block_type(dictionary.matrix, np.empty((0, m), dtype=np.complex128), dictionary, config)
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1
 
@@ -629,11 +628,11 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
 
     def fill(results):
         for first, (solution, tile_stats) in zip(starts, results):
-            cube[first : first + solution.shape[1]] = solution.T
+            cube[first : first + len(solution)] = solution
             stats.put(first, tile_stats)
 
     if jobs <= 1:
-        fill(_solve_block(ys.T, dictionary, config, block_type) for ys in tiles)
+        fill(_solve_block(ys, dictionary, config, block_type) for ys in tiles)
     else:
         with ProcessPoolExecutor(
             max_workers=jobs,

@@ -1,6 +1,7 @@
 """Cube container, native binary layout, ENVI reading, synthetic cubes."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ class TestNativeFormat:
         path.write_bytes(b"HSC1" + struct.pack("<III", 0, 2, 3))
         with pytest.raises(CubeFormatError):
             load_cube(path)
+
+    def test_load_holds_one_copy_of_the_cube(self, tmp_path):
+        # f8 samples are read straight into the cube's array, with no
+        # file-sized byte string beside it
+        path = tmp_path / "cube.hsc"
+        save_cube(generate_synthetic_cube(20, 20, 198, kappa_true=4, seed=0), path)
+        tracemalloc.start()
+        try:
+            cube = load_cube(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cube.data.shape == (20, 20, 198)
+        assert peak < 1.5 * cube.data.nbytes
 
 class TestEnviReader:
     @pytest.fixture

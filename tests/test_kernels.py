@@ -209,7 +209,7 @@ class TestGramLeastSquares:
         b = matrix[:, support]
         assert gram_least_squares(b, b.conj().T @ b, y) is None
         dup = Dictionary.from_matrix(matrix)
-        block = _CosampBlock(matrix, y[:, None], dup, SolverConfig(kappa=3))
+        block = _CosampBlock(matrix, y[None], dup, SolverConfig(kappa=3))
         assert block.solve(support, y).tobytes() == least_squares(b, y).tobytes()
 
     def test_nan_right_hand_side_gives_non_finite_values(self):
@@ -249,6 +249,16 @@ class TestResidualDelta:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             residual_delta(np.ones(2), np.ones(3))
+
+    def test_each_row_of_a_stack_is_its_lone_distance(self):
+        # rows of 51 contiguous entries, as a greedy tile's residuals: each
+        # row's distance is, bit for bit, the one it gets alone
+        rng = np.random.default_rng(7)
+        r, r_prev = rng.standard_normal((2, 9, 51)) + 1j * rng.standard_normal((2, 9, 51))
+        stacked = residual_delta(r, r_prev)
+        assert stacked.shape == (9,)
+        for j in range(9):
+            assert stacked[j] == residual_delta(r[j], r_prev[j])
 
 
 class FakeOpenblas:

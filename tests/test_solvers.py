@@ -145,19 +145,19 @@ class TestConvexSolvers:
         # the x-update's solution of (A^H A + alpha_j I) x = A^H y + alpha_j (z - w)
         rng = np.random.default_rng(3)
         d = Dictionary.from_matrix(rng.standard_normal((6, 15)) + 1j * rng.standard_normal((6, 15)))
-        y = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        y = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         block = _AdmmBlock(d.matrix, y, d, SolverConfig(lam=0.0))
-        alpha = np.array([0.05, 0.3, 1.8, 10.0])
+        alpha = np.array([[0.05], [0.3], [1.8], [10.0]])
         block.penalize(alpha)
-        block.z = rng.standard_normal((15, 4)) + 1j * rng.standard_normal((15, 4))
-        block.w = rng.standard_normal((15, 4)) + 1j * rng.standard_normal((15, 4))
+        block.z = rng.standard_normal((4, 15)) + 1j * rng.standard_normal((4, 15))
+        block.w = rng.standard_normal((4, 15)) + 1j * rng.standard_normal((4, 15))
         w = block.w
-        rhs = d.matrix.conj().T @ y + alpha * (block.z - w)
+        rhs = y @ d.matrix.conj() + alpha * (block.z - w)
         residual, _ = block.step(y, y)
         for j in range(4):
-            x = np.linalg.solve(d.gram + alpha[j] * np.eye(15), rhs[:, j])
-            assert np.linalg.norm(block.z[:, j] - w[:, j] - x) <= 1e-12 * np.linalg.norm(x)
-            np.testing.assert_allclose(residual[:, j], y[:, j] - d.matrix @ x, rtol=0, atol=1e-12)
+            x = np.linalg.solve(d.gram + alpha[j, 0] * np.eye(15), rhs[j])
+            assert np.linalg.norm(block.z[j] - w[j] - x) <= 1e-12 * np.linalg.norm(x)
+            np.testing.assert_allclose(residual[j], y[j] - d.matrix @ x, rtol=0, atol=1e-12)
 
     def test_admm_stops_at_the_lasso_minimum(self):
         # at a fixed penalty of 1.8, pixel (2, 6) of this scene stopped
@@ -401,11 +401,11 @@ class TestRecoverCube:
         assert calls == [(7, 7)]
 
     def test_admm_pixels_are_independent_of_their_tile(self):
-        # every column balances its own penalty: a pixel runs the same
+        # every row balances its own penalty: a pixel runs the same
         # iterations alone, in a 256-pixel tile and in a worker's tile
         d, meas = desk_scene(8, 8, 64, 4, seed=1, factor=0.01)
         cfg = SolverConfig(lam=0.01, time_limit=None, max_iter=20_000)
-        y = meas.reshape(64, -1).T
+        y = meas.reshape(64, -1)
         block = _AdmmBlock(d.matrix, y, d, cfg)
         for _ in range(50):
             block.step(y, y)
@@ -568,10 +568,7 @@ class TestGreedyTiles:
             assert cube[ix, iy].tobytes() == single.x.tobytes()
             assert stats.iterations[index] == single.iterations
             assert stats.converged[index] == single.converged
-            # the residuals are bit for bit the single ones, but residual_delta
-            # sums a column of an (m, k) block in another order than a lone
-            # column once m >= 8, so the delta may differ in its last bits
-            assert stats.final_delta[index] == pytest.approx(single.final_delta, rel=1e-15, abs=0)
+            assert stats.final_delta[index] == single.final_delta
 
     def test_gomp_skips_only_a_refit_that_repeats_the_first(self, scene):
         # rows of 3, 4 and 5 accumulated atoms at kappa 4: only a 4-atom row
@@ -579,7 +576,7 @@ class TestGreedyTiles:
         # iterate is the bytes of refitting on its kappa strongest atoms
         d, meas = scene
         y = np.ascontiguousarray(meas.reshape(-1, d.m)[:30])
-        block = _GompBlock(d.matrix, y.T, d, SolverConfig(kappa=4, time_limit=None))
+        block = _GompBlock(d.matrix, y, d, SolverConfig(kappa=4, time_limit=None))
         rng = np.random.default_rng(5)
         candidates = np.zeros((30, d.n), dtype=bool)
         for row, size in zip(candidates, np.repeat([3, 4, 5], 10)):
