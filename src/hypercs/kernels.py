@@ -97,8 +97,15 @@ def argmax_k(v, k):
     n = v.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    mags = np.abs(v)
+    if k == 1:
+        # the first maximum is the lowest index; argmax picks a row's first
+        # NaN where it has one, which the sort below puts last instead
+        top = np.argmax(mags, axis=-1, keepdims=True)
+        if not np.isnan(np.take_along_axis(mags, top, axis=-1)).any():
+            return top
     # stable sort on -|v|: equal magnitudes keep their original (ascending) order
-    order = np.argsort(-np.abs(v), axis=-1, kind="stable")
+    order = np.argsort(-mags, axis=-1, kind="stable")
     return np.sort(order[..., :k], axis=-1)
 
 
@@ -130,26 +137,40 @@ def _cholesky_routines(dtype):
 
 
 def gram_least_squares(b, gram, y):
-    """Solve min_s ||b s - y||_2 through the normal equations, gram = b^H b.
+    """Solve min_s ||b_j s - y_j||_2 for each row j of a stack through the
+    normal equations, gram_j = b_j^H b_j.
 
-    gram is Cholesky-factored and gram s = b^H y solved; one correction on
-    the true residual, s += gram^-1 b^H (y - b s), brings the result to the
-    accuracy of an orthogonal solve (corrected semi-normal equations,
-    Bjorck 1987).
-    Returns None when gram is not numerically positive definite (the
-    factorization fails, or its smallest diagonal entry is at most GRAM_RTOL
-    times its largest); least_squares then solves the system.  A non-finite
-    y gives a non-finite s without raising.
+    b is (c, m, s), gram (c, s, s) and y (c, m).  Each gram_j is
+    Cholesky-factored and gram_j s = b_j^H y_j solved; one correction on the
+    true residual, s += gram_j^-1 b_j^H (y_j - b_j s), brings the result to
+    the accuracy of an orthogonal solve (corrected semi-normal equations,
+    Bjorck 1987).  The products are stacked, one matrix-vector product per
+    row, and only the LAPACK calls loop over rows, so a row of a stack gets
+    the bytes it gets in a stack of one.
+    Returns the (c, s) solutions and a (c,) mask of the rows solved.  A row
+    whose gram_j is not numerically positive definite (the factorization
+    fails, or its smallest diagonal entry is at most GRAM_RTOL times its
+    largest) is left at zero and unmasked; least_squares then solves it.  A
+    non-finite y_j gives a non-finite row without raising.
     """
     potrf, potrs = _cholesky_routines(np.result_type(b, y))
-    factor, info = potrf(gram)
-    diag = factor.diagonal().real.tolist()  # a few entries: faster as floats
-    if info != 0 or min(diag) <= GRAM_RTOL * max(diag):
-        return None
-    bh = b.conj().T
-    s, _ = potrs(factor, bh @ y)
-    correction, _ = potrs(factor, bh @ (y - b @ s))
-    return s + correction
+    factors = {}
+    for j, g in enumerate(gram):
+        factor, info = potrf(g)
+        diag = factor.diagonal().real.tolist()  # a few entries: faster as floats
+        if info == 0 and min(diag) > GRAM_RTOL * max(diag):
+            factors[j] = factor
+    bh = b.conj().transpose(0, 2, 1)
+    rhs = matvecs(bh, y)
+    s = np.zeros_like(rhs)
+    for j, factor in factors.items():
+        s[j] = potrs(factor, rhs[j])[0]
+    rhs = matvecs(bh, y - matvecs(b, s))
+    for j, factor in factors.items():
+        s[j] += potrs(factor, rhs[j])[0]
+    solved = np.zeros(len(gram), dtype=bool)
+    solved[list(factors)] = True
+    return s, solved
 
 
 def residual_delta(r, r_prev):

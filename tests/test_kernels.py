@@ -109,6 +109,31 @@ class TestArgmaxK:
         np.testing.assert_array_equal(argmax_k(rows[1:2], 3), [[2, 5, 7]])
         np.testing.assert_array_equal(argmax_k(rows[3:4], 2), [[0, 1]])
 
+    def test_one_atom_is_the_first_strongest_and_nan_sorts_last(self):
+        # k = 1 against the sort definition: magnitude first, NaN after every
+        # number, then the lowest index
+        rng = np.random.default_rng(9)
+        rows = rng.integers(-2, 3, size=(8, 40)) * np.exp(0.5j * np.pi * rng.integers(0, 4, size=(8, 40)))
+        rows[1] = 0.0
+        rows[2, [3, 17]] = np.nan
+        rows[3, 0] = complex(np.nan, 1.0)
+        rows[4] = np.nan
+        rows[5, [6, 30]] = np.inf
+        rows[6, 9] = np.nan
+        rows[6, [4, 20]] = -np.inf
+        rows[7, [2, 8]] = 3.0, 3j
+        for stack in (rows, rows[[0, 1, 5, 7]]):
+            picked = argmax_k(stack, 1)
+            assert picked.shape == (len(stack), 1)
+            for row, top in zip(stack, picked):
+                nan = np.isnan(np.abs(row))
+                mags = np.where(nan, 0.0, np.abs(row))
+                expected = min(range(40), key=lambda i: (nan[i], -mags[i], i))
+                assert top.tolist() == [expected] == argmax_k(row, 1).tolist()
+        assert argmax_k(rows[7], 1).tolist() == [2]
+        assert argmax_k(rows[4], 1).tolist() == [0]
+        assert argmax_k(rows[2], 1).tolist() != [3]
+
     def test_k_is_checked_against_the_last_axis(self):
         assert argmax_k(np.ones((5, 4)), 4).shape == (5, 4)
         with pytest.raises(ValueError):
@@ -173,6 +198,13 @@ class TestLeastSquares:
             least_squares(np.ones(3), np.ones(3))
 
 
+def gram_least_squares_one(b, gram, y):
+    """gram_least_squares on a stack of one system: (solution, solved)."""
+    s, solved = gram_least_squares(b[None], gram[None], y[None])
+    assert s.shape == (1, b.shape[1]) and solved.shape == (1,)
+    return s[0], solved[0]
+
+
 class TestGramLeastSquares:
     def test_matches_the_svd_solve_on_partial_dft_supports(self):
         rng = np.random.default_rng(4)
@@ -181,7 +213,8 @@ class TestGramLeastSquares:
             support = np.sort(rng.choice(64, size=rng.integers(1, 14), replace=False))
             b = d.matrix[:, support]
             y = rng.standard_normal(26) + 1j * rng.standard_normal(26)
-            s = gram_least_squares(b, d.gram[np.ix_(support, support)], y)
+            s, solved = gram_least_squares_one(b, d.gram[np.ix_(support, support)], y)
+            assert solved
             expected = least_squares(b, y)
             assert np.linalg.norm(s - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -193,7 +226,8 @@ class TestGramLeastSquares:
         matrix[:, 5] = matrix[:, 2] + 1e-3 * matrix[:, 9]
         b = matrix[:, [1, 2, 5]]
         y = np.random.default_rng(5).standard_normal(7) + 0.5j
-        s = gram_least_squares(b, b.conj().T @ b, y)
+        s, solved = gram_least_squares_one(b, b.conj().T @ b, y)
+        assert solved
         expected = least_squares(b, y)
         assert np.linalg.norm(s - expected) <= 1e-11 * np.linalg.norm(expected)
 
@@ -207,10 +241,11 @@ class TestGramLeastSquares:
         support = np.array([1, 2, 5])
         y = 3.0 * matrix[:, 2] + matrix[:, 1]
         b = matrix[:, support]
-        assert gram_least_squares(b, b.conj().T @ b, y) is None
+        s, solved = gram_least_squares_one(b, b.conj().T @ b, y)
+        assert not solved
         dup = Dictionary.from_matrix(matrix)
         block = _CosampBlock(matrix, y[None], dup, SolverConfig(kappa=3))
-        assert block.solve(support, y).tobytes() == least_squares(b, y).tobytes()
+        assert block.solve(support[None], y[None])[0].tobytes() == least_squares(b, y).tobytes()
 
     def test_nan_right_hand_side_gives_non_finite_values(self):
         d = partial_fourier(16, 7, 1)
@@ -218,8 +253,8 @@ class TestGramLeastSquares:
         b = d.matrix[:, support]
         y = np.ones(7, dtype=complex)
         y[2] = np.nan
-        s = gram_least_squares(b, d.gram[np.ix_(support, support)], y)
-        assert s.shape == (3,) and not np.isfinite(s).any()
+        s, solved = gram_least_squares_one(b, d.gram[np.ix_(support, support)], y)
+        assert solved and s.shape == (3,) and not np.isfinite(s).any()
 
     def test_real_and_complex_systems_each_get_their_own_routines(self):
         # the LAPACK routines are looked up once per dtype: a real system
@@ -231,8 +266,8 @@ class TestGramLeastSquares:
             y = rng.standard_normal(9).astype(dtype)
             if dtype is complex:
                 b, y = b + 1j * rng.standard_normal((9, 4)), y + 0.5j
-            s = gram_least_squares(b, b.conj().T @ b, y)
-            assert s.dtype == np.result_type(dtype)
+            s, solved = gram_least_squares_one(b, b.conj().T @ b, y)
+            assert solved and s.dtype == np.result_type(dtype)
             expected = least_squares(b, y)
             assert np.linalg.norm(s - expected) <= 1e-12 * np.linalg.norm(expected)
 

@@ -2,9 +2,11 @@
 
 import functools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hypercs import (
     CONVEX_SOLVERS,
@@ -23,8 +25,8 @@ from hypercs import (
     recover_cube,
     stop_check,
 )
-from hypercs.kernels import argmax_k, one_blas_thread
-from hypercs.solvers import _AdmmBlock, _GompBlock, _prune
+from hypercs.kernels import argmax_k, least_squares, one_blas_thread
+from hypercs.solvers import REFIT_ROWS, _AdmmBlock, _CosampBlock, _GompBlock, _prune
 
 from helpers import desk_scene, partial_fourier, planted_instance
 
@@ -534,6 +536,16 @@ class TestRecoverCube:
             recover_cube(meas[0], d, SolverConfig(), "fista")
 
 
+def lone_gram_solve(b, gram, y):
+    """The corrected semi-normal equations on one (m, s) column block b of A,
+    with 2-D by 1-D products: the bytes a stacked refit row must match."""
+    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.complex128)
+    factor, _ = potrf(gram)
+    bh = b.conj().T
+    s = potrs(factor, bh @ y)[0]
+    return s + potrs(factor, bh @ (y - b @ s))[0]
+
+
 class TestGreedyTiles:
     """Greedy tiles whose columns hold candidate sets of different sizes, on
     rows of a desk-greedy-shaped scene (16x16x128, kappa_true 8, seed 2):
@@ -589,6 +601,61 @@ class TestGreedyTiles:
             row[argmax_k(values, 4)] = True
         assert (top == candidates).all(axis=1)[10:20].all()
         assert x.tobytes() == block.refit(top, y).tobytes()
+
+    def test_each_row_of_a_stacked_refit_is_its_refit_alone(self, scene):
+        # rows of 1, 6 and 10 atoms, 20 of 6 so that their group crosses a
+        # REFIT_ROWS chunk; in the 6-atom group a row on a duplicated column
+        # falls back to the SVD solve, and a 10-atom row has a NaN measurement
+        d, meas = scene
+        matrix = d.matrix.copy()
+        matrix[:, 5] = matrix[:, 2]
+        dup = Dictionary.from_matrix(matrix)
+        y = np.ascontiguousarray(meas.reshape(-1, d.m)[:30])
+        y[27, 3] = np.nan
+        block = _CosampBlock(matrix, y, dup, SolverConfig(kappa=16))
+        rng = np.random.default_rng(6)
+        supports = np.zeros((30, d.n), dtype=bool)
+        sizes = rng.permutation(np.repeat([1, 6, 10], [4, 20, 6]))
+        sizes[[11, 27]] = 6, 10
+        for row, size in zip(supports, sizes):
+            row[rng.choice(np.arange(6, d.n), size=size, replace=False)] = True
+        supports[11, :] = False
+        supports[11, [2, 5, 9, 40, 77, 100]] = True
+        assert np.count_nonzero(np.count_nonzero(supports, axis=1) == 6) > REFIT_ROWS
+        x = block.refit(supports, y)
+        for j, (support, row) in enumerate(zip(supports, x)):
+            assert row.tobytes() == block.refit(supports[j:j + 1], y[j:j + 1])[0].tobytes()
+            atoms = np.flatnonzero(support)
+            assert not row[~support].any()
+            b = matrix[:, atoms]
+            if j == 11:
+                assert row[atoms].tobytes() == least_squares(b, y[j]).tobytes()
+            elif j == 27:
+                assert not np.isfinite(row[atoms]).any()
+            else:
+                assert row[atoms].tobytes() == lone_gram_solve(b, dup.gram[np.ix_(atoms, atoms)], y[j]).tobytes()
+                expected = least_squares(b, y[j])
+                assert np.linalg.norm(row[atoms] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_a_stacked_refit_holds_a_chunk_of_rows_at_a_time(self, scene):
+        # 256 rows of 48 candidate atoms: unchunked, the stacked atoms and
+        # Gram blocks alone would take ~20 MiB, in 16-row chunks ~2.4 MiB,
+        # and in chunks of REFIT_ENTRIES atom entries (6 rows) ~0.9 MiB
+        d, meas = scene
+        y = np.ascontiguousarray(np.resize(meas.reshape(-1, d.m), (256, d.m)))
+        block = _CosampBlock(d.matrix, y, d, SolverConfig(kappa=16))
+        rng = np.random.default_rng(8)
+        supports = np.zeros((256, d.n), dtype=bool)
+        for row in supports:
+            row[rng.choice(d.n, size=48, replace=False)] = True
+        block.refit(supports[:1], y[:1])  # LAPACK routines looked up
+        tracemalloc.start()
+        try:
+            x = block.refit(supports, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - x.nbytes < 1.5 * 2**20
 
     def test_prune_keeps_the_kappa_strongest_candidates_of_each_row(self):
         # the row-wise prune against argmax_k on each row's candidate
