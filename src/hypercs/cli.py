@@ -113,15 +113,13 @@ def run_sparsify(input_path, out_dir, kind="auto", factor=0.1, peak="abs-max", d
         check(cube.bands)
     basis = build_dft_basis(cube.bands)
     data = np.empty_like(cube.data)
-    zero_fractions = np.empty(cube.data.shape[:2])
+    zeroed = 0.0  # a sum of whole per-pixel zero counts keeps the cube's fraction exact
     # per x-line: whole-cube temporaries would linger in forked workers' heap
     for ix, line in enumerate(cube.data):
         kept, stats = sparsify(to_sparse_domain(line, basis), factor)
         data[ix], _ = from_sparse_domain(kept, basis)
-        zero_fractions[ix] = stats.zero_fraction
+        zeroed += np.rint(stats.zero_fraction * cube.bands).sum()
     sparsified = HsiCube(data=data)
-    # whole per-pixel zero counts keep the cube's fraction exact
-    zeroed = float(np.rint(zero_fractions * cube.bands).sum())
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -130,7 +128,7 @@ def run_sparsify(input_path, out_dir, kind="auto", factor=0.1, peak="abs-max", d
     stats = {
         "dataset": dataset or Path(input_path).stem,
         "threshold_factor": factor,
-        "zero_fraction": zeroed / cube.samples.size,
+        "zero_fraction": float(zeroed) / cube.samples.size,
         "psnr_db_vs_original": "identical" if math.isinf(quality) else quality,
         "x": cube.x,
         "y": cube.y,
@@ -194,7 +192,10 @@ def run_recover(run_dir, algorithm, config, jobs, dataset=None, blas_threads=Non
     if dataset is None:
         stats_path = run_dir / SPARSIFY_STATS_FILE
         if stats_path.exists():
-            dataset = json.loads(stats_path.read_text()).get("dataset")
+            try:
+                dataset = json.loads(stats_path.read_text()).get("dataset")
+            except (AttributeError, ValueError) as exc:  # not UTF-8, not JSON, not an object
+                raise PipelineFileError(f"{stats_path}: unreadable sparsify record: {exc}") from None
         dataset = dataset or run_dir.name
 
     basis = build_dft_basis(n)
@@ -254,7 +255,7 @@ def run_report(run_dir, out_path=None, dataset=None, peak="abs-max"):
                 convergence_pct=meta["convergence_pct"],
                 recovery_time_s=meta["recovery_time_s"],
             ))
-        except (KeyError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise PipelineFileError(f"{meta_path}: unreadable recovery record: {exc}") from None
     if not rows:
         raise PipelineFileError(f"{run_dir}: no recovery records to report")

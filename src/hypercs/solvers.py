@@ -270,11 +270,12 @@ class _GreedyBlock:
     Each row's support is a row of a (k, n) boolean mask.  An iteration
     takes the residual projections, the candidate picks and prunes (a
     stable sort per row) and the residuals of all rows at once, and refits
-    rows of one support size together, with a Cholesky factor and solves
-    per row.  A stacked product is one matrix-vector product per row, so
-    a row computes in a block exactly what it computes alone.  A row whose
-    candidate support outgrows the m measurements halts and keeps its last
-    iterate.  Subclasses pick the candidates and may override the fit.
+    rows of one support size together, in stacks of at most REFIT_ENTRIES
+    atom entries, with a Cholesky factor and solves per row.  A stacked
+    product is one matrix-vector product per row, so a row computes in a
+    block exactly what it computes alone.  A row whose candidate support
+    outgrows the m measurements halts and keeps its last iterate.
+    Subclasses pick the candidates and may override the fit.
     """
 
     def __init__(self, a, y, dictionary, config):
@@ -315,12 +316,12 @@ class _GreedyBlock:
         """solve for each row of y on the atoms of its row of a (k, n)
         supports mask: the (k, n) least-squares iterates, zero off the
         supports.  Rows are solved in groups of one support size, at most
-        REFIT_ROWS and REFIT_ENTRIES stacked atom entries at a time."""
+        REFIT_ENTRIES stacked atom entries at a time."""
         x = np.zeros(supports.shape, dtype=np.complex128)
         sizes = np.count_nonzero(supports, axis=1)
         for size in np.unique(sizes):
             group = np.flatnonzero(sizes == size)
-            chunk = max(1, min(REFIT_ROWS, REFIT_ENTRIES // (size * y.shape[1])))
+            chunk = max(1, REFIT_ENTRIES // (size * y.shape[1]))
             for rows in np.split(group, range(chunk, group.size, chunk)):
                 atoms = np.nonzero(supports[rows])[1].reshape(rows.size, size)
                 x[rows[:, None], atoms] = self.solve(atoms, y[rows])
@@ -579,11 +580,9 @@ GREEDY_SOLVERS = ("gomp", "biht", "cosamp")
 # pixels one block iteration solves together at most;
 # bounds the block's working arrays on a full-size scene
 TILE_PIXELS = 256
-# rows of one support size a greedy refit solves together at most, and
-# entries of their stacked (rows, m, s) atoms: bounds the refit's working
-# arrays, and keeps large supports' stacks in cache (desk-greedy cosamp at
-# kappa 16, 32-48 atoms, ran 1.4x slower on 16-row stacks than on 6-10)
-REFIT_ROWS = 16
+# entries of the stacked (rows, m, s) atoms a greedy refit of one support
+# size solves together at most: bounds the refit's working arrays, and keeps
+# large supports' stacks in cache
 REFIT_ENTRIES = 2**14
 
 _POOL = {}

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import shutil
 import subprocess
 from dataclasses import asdict
@@ -268,6 +269,15 @@ class TestRecover:
         code = main(["recover", "--input", str(run_dir), "--algo", "gomp", "--kappa", "2"])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("record", [b'{"dataset": ', b'["cube"]\n'], ids=["not-json", "json-list"])
+    def test_malformed_sparsify_record_exits_3(self, cube_file, tmp_path, record):
+        run_dir = tmp_path / "run"
+        main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
+        main(["compress", "--input", str(run_dir)])
+        (run_dir / "sparsify_stats.json").write_bytes(record)
+        code = main(["recover", "--input", str(run_dir), "--algo", "gomp", "--kappa", "2"])
+        assert code == EXIT_IO
+
     @pytest.mark.parametrize(
         "damage",
         [
@@ -385,6 +395,21 @@ class TestReport:
         run_dir = tmp_path / "run"
         run_stages(cube_file, run_dir, "--algo", "gomp", "--kappa", "2")
         (run_dir / "run_gomp_kappa2.json").write_text('{"algorithm": "gomp"}')
+        assert main(["report", "--input", str(run_dir)]) == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw.replace(b'"gomp"', b'"g\xffmp"'),
+            lambda raw: re.sub(rb'"n_converged": \d+', b'"n_converged": "x"', raw),
+        ],
+        ids=["non-utf8", "mistyped"],
+    )
+    def test_damaged_record_is_an_error(self, cube_file, tmp_path, damage):
+        run_dir = tmp_path / "run"
+        run_stages(cube_file, run_dir, "--algo", "gomp", "--kappa", "2")
+        meta_path = run_dir / "run_gomp_kappa2.json"
+        meta_path.write_bytes(damage(meta_path.read_bytes()))
         assert main(["report", "--input", str(run_dir)]) == EXIT_IO
 
 

@@ -26,7 +26,7 @@ from hypercs import (
     stop_check,
 )
 from hypercs.kernels import argmax_k, least_squares, one_blas_thread
-from hypercs.solvers import REFIT_ROWS, _AdmmBlock, _CosampBlock, _GompBlock, _prune
+from hypercs.solvers import REFIT_ENTRIES, _AdmmBlock, _CosampBlock, _GompBlock, _prune
 
 from helpers import desk_scene, partial_fourier, planted_instance
 
@@ -603,9 +603,10 @@ class TestGreedyTiles:
         assert x.tobytes() == block.refit(top, y).tobytes()
 
     def test_each_row_of_a_stacked_refit_is_its_refit_alone(self, scene):
-        # rows of 1, 6 and 10 atoms, 20 of 6 so that their group crosses a
-        # REFIT_ROWS chunk; in the 6-atom group a row on a duplicated column
-        # falls back to the SVD solve, and a 10-atom row has a NaN measurement
+        # rows of 1, 10 and 48 atoms, 14 of 48 so that their group spans
+        # three REFIT_ENTRIES chunks (6, 6 and 2 rows); in the 48-atom group
+        # a row on a duplicated column falls back to the SVD solve, and a
+        # 10-atom row has a NaN measurement
         d, meas = scene
         matrix = d.matrix.copy()
         matrix[:, 5] = matrix[:, 2]
@@ -615,13 +616,13 @@ class TestGreedyTiles:
         block = _CosampBlock(matrix, y, dup, SolverConfig(kappa=16))
         rng = np.random.default_rng(6)
         supports = np.zeros((30, d.n), dtype=bool)
-        sizes = rng.permutation(np.repeat([1, 6, 10], [4, 20, 6]))
-        sizes[[11, 27]] = 6, 10
+        sizes = rng.permutation(np.repeat([1, 10, 48], [6, 10, 14]))
+        sizes[[11, 27]] = 48, 10
         for row, size in zip(supports, sizes):
             row[rng.choice(np.arange(6, d.n), size=size, replace=False)] = True
         supports[11, :] = False
-        supports[11, [2, 5, 9, 40, 77, 100]] = True
-        assert np.count_nonzero(np.count_nonzero(supports, axis=1) == 6) > REFIT_ROWS
+        supports[11, [2, 5, *range(40, 86)]] = True
+        assert np.count_nonzero(np.count_nonzero(supports, axis=1) == 48) > 2 * (REFIT_ENTRIES // (48 * d.m))
         x = block.refit(supports, y)
         for j, (support, row) in enumerate(zip(supports, x)):
             assert row.tobytes() == block.refit(supports[j:j + 1], y[j:j + 1])[0].tobytes()
@@ -636,6 +637,24 @@ class TestGreedyTiles:
                 assert row[atoms].tobytes() == lone_gram_solve(b, dup.gram[np.ix_(atoms, atoms)], y[j]).tobytes()
                 expected = least_squares(b, y[j])
                 assert np.linalg.norm(row[atoms] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_a_small_support_group_is_refit_in_one_stack(self, scene):
+        # 256 rows of 1 atom, as gomp's first iteration holds a tile: 13,056
+        # stacked atom entries, within REFIT_ENTRIES, so one solve call
+        d, meas = scene
+        y = np.ascontiguousarray(np.resize(meas.reshape(-1, d.m), (256, d.m)))
+        block = _GompBlock(d.matrix, y, d, SolverConfig(kappa=4))
+        supports = np.zeros((256, d.n), dtype=bool)
+        supports[np.arange(256), np.arange(256) % d.n] = True
+        calls = []
+
+        def solve(atoms, y, solve=block.solve):
+            calls.append(len(atoms))
+            return solve(atoms, y)
+
+        block.solve = solve
+        block.refit(supports, y)
+        assert calls == [256]
 
     def test_a_stacked_refit_holds_a_chunk_of_rows_at_a_time(self, scene):
         # 256 rows of 48 candidate atoms: unchunked, the stacked atoms and
