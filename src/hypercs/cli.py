@@ -246,16 +246,21 @@ def run_report(run_dir, out_path=None, dataset=None, peak="abs-max"):
             n_converged = meta["n_converged"]
             if n_converged > 0 and meta["total_iterations"] == 0 and n_converged > meta["n_zero_pixels"]:
                 raise PipelineFileError(f"{meta_path}: converged pixels with zero iterations")
+            # an undefined PSNR (a ValueError) is the peak convention's fault, not the record's
+            quality = psnr(sparsified, load_cube(run_dir / meta["recovered_file"]), peak)
+        except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise PipelineFileError(f"{meta_path}: unreadable recovery record: {exc}") from None
+        try:
             rows.append(SummaryRow(
                 dataset=dataset or meta["dataset"],
                 algorithm=meta["algorithm"],
                 param_label=meta["param_label"],
-                psnr_db=psnr(sparsified, load_cube(run_dir / meta["recovered_file"]), peak),
+                psnr_db=quality,
                 total_iterations=meta["total_iterations"],
                 convergence_pct=meta["convergence_pct"],
                 recovery_time_s=meta["recovery_time_s"],
             ))
-        except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # a value out of range included
             raise PipelineFileError(f"{meta_path}: unreadable recovery record: {exc}") from None
     if not rows:
         raise PipelineFileError(f"{run_dir}: no recovery records to report")

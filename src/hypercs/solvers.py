@@ -10,8 +10,9 @@ performs at least one iteration (except for y = 0, which short-circuits to
 the zero vector).
 
 One loop, _solve_block, iterates every solver on a block of pixel rows
-sharing A, a single pixel being a one-row block; each solver supplies the
-step.  fista and admm minimize the lasso objective
+sharing A; recover_cube is its one way in, a single pixel being a 1x1
+cube.  Each solver supplies the step.  fista and admm minimize the lasso
+objective
     H(x) = 0.5 * ||A x - y||^2 + lam * ||x||_1
 with block products; gomp, biht and cosamp greedily build a support of at
 most kappa atoms per row with block-wide projections, top-k picks, prunes
@@ -71,7 +72,7 @@ class SolverConfig:
     max_iter: int | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:  # negated comparisons reject NaN
             raise ValueError("lam must be >= 0")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
@@ -79,13 +80,13 @@ class SolverConfig:
             self.atoms_per_iter = max(1, self.kappa // 5)
         if not 1 <= self.atoms_per_iter <= self.kappa:
             raise ValueError("atoms_per_iter must be in [1, kappa]")
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError("mu must be > 0")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be > 0 or None")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1 or None")
@@ -150,12 +151,12 @@ class _FistaBlock:
     active row shares, so one scalar serves the whole block.
     """
 
-    def __init__(self, a, y, dictionary, config):
-        self.at = a.T
-        self.ac = a.conj()
+    def __init__(self, y, dictionary, config):
+        self.at = dictionary.matrix.T
+        self.ac = dictionary.matrix.conj()
         self.inv_l = 1.0 / dictionary.lipschitz
         self.threshold = config.lam * self.inv_l
-        self.x = np.zeros((len(y), a.shape[1]), dtype=np.complex128)
+        self.x = np.zeros((len(y), dictionary.n), dtype=np.complex128)
         self.z = self.x
         self.t = 1.0
 
@@ -197,12 +198,12 @@ class _AdmmBlock:
     A row thus computes in a block what it computes alone, to round-off.
     """
 
-    def __init__(self, a, y, dictionary, config):
+    def __init__(self, y, dictionary, config):
         self.eigenvalues, q, qa = dictionary.admm_factor()
         self.qt, self.qat, self.qac = q.T, qa.T, qa.conj()
-        self.b = y @ a.conj()
+        self.b = y @ dictionary.matrix.conj()
         self.lam = config.lam
-        self.z = np.zeros((len(y), a.shape[1]), dtype=np.complex128)
+        self.z = np.zeros((len(y), dictionary.n), dtype=np.complex128)
         self.w = np.zeros_like(self.z)
         self.penalize(np.full((len(y), 1), config.alpha))
 
@@ -278,15 +279,20 @@ class _GreedyBlock:
     Subclasses pick the candidates and may override the fit.
     """
 
-    def __init__(self, a, y, dictionary, config):
-        self.check(config, *a.shape)
-        self.a = a
-        self.ah = a.conj().T
-        self.at = np.ascontiguousarray(a.T)
+    def __init__(self, y, dictionary, config):
+        self.check(config, dictionary.m, dictionary.n)
+        self.a = dictionary.matrix
+        self.ah = self.a.conj().T
+        self.at = np.ascontiguousarray(self.a.T)
         self.gram = dictionary.gram
         self.config = config
-        self.x = np.zeros((len(y), a.shape[1]), dtype=np.complex128)
+        self.x = np.zeros((len(y), dictionary.n), dtype=np.complex128)
         self.support = np.zeros(self.x.shape, dtype=bool)
+
+    @staticmethod
+    def check(config, m, n):
+        if config.kappa > m:
+            raise ValueError(f"kappa must be <= {m}")
 
     def step(self, y, residual):
         """One iteration on every row; returns the new residuals and the
@@ -350,11 +356,6 @@ class _GompBlock(_GreedyBlock):
     of the scattered least-squares solution.
     """
 
-    @staticmethod
-    def check(config, m, n):
-        if not config.atoms_per_iter <= config.kappa <= m:
-            raise ValueError(f"need atoms_per_iter <= kappa <= {m}")
-
     def candidates(self, p):
         # 1. strongest residual projections extend the accumulated support
         return _mark(self.support.copy(), argmax_k(p, self.config.atoms_per_iter))
@@ -381,11 +382,6 @@ class _BihtBlock(_GreedyBlock):
     on the candidates is pruned back to the kappa strongest entries.
     """
 
-    @staticmethod
-    def check(config, m, n):
-        if config.kappa > m:
-            raise ValueError(f"kappa must be <= {m}")
-
     def candidates(self, g):
         # 1. top entries of the gradient step + current support + the
         #    strongest residual projection
@@ -404,8 +400,7 @@ class _CosampBlock(_GreedyBlock):
     def check(config, m, n):
         if 2 * config.kappa > n:
             raise ValueError(f"need 2 * kappa <= {n}")
-        if config.kappa > m:
-            raise ValueError(f"kappa must be <= {m}")
+        _GreedyBlock.check(config, m, n)
 
     def candidates(self, p):
         return _mark(self.support.copy(), argmax_k(p, 2 * self.config.kappa))
@@ -484,15 +479,14 @@ def _solve_block(ys, dictionary, config, block_type):
     iterations, after the block type has validated the config.
     """
     start = time.perf_counter()
-    a = dictionary.matrix
     k = len(ys)
-    solution = np.zeros((k, a.shape[1]), dtype=np.complex128)
+    solution = np.zeros((k, dictionary.n), dtype=np.complex128)
     stats = RecoveryStats.zeros(k)
     nonzero = ys.any(axis=1)
     stats.converged[~nonzero] = True
     rows = np.flatnonzero(nonzero)  # block row of each active row
     y = ys[rows]
-    block = block_type(a, y, dictionary, config)
+    block = block_type(y, dictionary, config)
     residual = y
     delta = np.ones(rows.size)  # starts at 1: at least one iteration
     finite = np.ones(rows.size, dtype=bool)
@@ -528,16 +522,13 @@ def _solve_block(ys, dictionary, config, block_type):
     return solution, stats
 
 
-def _solve_pixel(y, dictionary, config, block_type):
-    """One pixel as a one-row block; raises NumericalFailure."""
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (dictionary.m,):
-        raise ValueError(f"measurement length {y.shape} does not match {dictionary.m} rows")
-    solution, stats = _solve_block(y[None], dictionary, config, block_type)
+def _solve_pixel(y, dictionary, config, algorithm):
+    """One pixel as a 1x1 cube; raises NumericalFailure."""
+    cube, stats = recover_cube(np.asarray(y)[None, None], dictionary, config, algorithm)
     if stats.n_failed:
         raise NumericalFailure(int(stats.failed_at[0]))
     return SolverResult(
-        x=solution[0],
+        x=cube[0, 0],
         iterations=int(stats.iterations[0]),
         converged=bool(stats.converged[0]),
         elapsed=float(stats.elapsed[0]),
@@ -547,29 +538,29 @@ def _solve_pixel(y, dictionary, config, block_type):
 
 def fista(y, dictionary, config):
     """Accelerated proximal-gradient lasso solve."""
-    return _solve_pixel(y, dictionary, config, _FistaBlock)
+    return _solve_pixel(y, dictionary, config, "fista")
 
 
 def admm(y, dictionary, config):
     """Scaled-dual alternating-direction lasso solve; returns the sparse
     iterate z."""
-    return _solve_pixel(y, dictionary, config, _AdmmBlock)
+    return _solve_pixel(y, dictionary, config, "admm")
 
 
 def gomp(y, dictionary, config):
     """Generalized orthogonal matching pursuit; see _GompBlock."""
-    return _solve_pixel(y, dictionary, config, _GompBlock)
+    return _solve_pixel(y, dictionary, config, "gomp")
 
 
 def biht(y, dictionary, config):
     """Iterative hard thresholding with a least-squares prune; see
     _BihtBlock."""
-    return _solve_pixel(y, dictionary, config, _BihtBlock)
+    return _solve_pixel(y, dictionary, config, "biht")
 
 
 def cosamp(y, dictionary, config):
     """Compressive sampling matching pursuit; see _CosampBlock."""
-    return _solve_pixel(y, dictionary, config, _CosampBlock)
+    return _solve_pixel(y, dictionary, config, "cosamp")
 
 
 SOLVERS = {solve.__name__: solve for solve in (fista, admm, gomp, biht, cosamp)}
@@ -630,7 +621,7 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     block_type = _BLOCK_TYPES[algorithm]
     # a block of no pixels checks the config and builds the dictionary state
     # the solver reads, once, before any worker forks
-    block_type(dictionary.matrix, np.empty((0, m), dtype=np.complex128), dictionary, config)
+    block_type(np.empty((0, m), dtype=np.complex128), dictionary, config)
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1
 

@@ -7,7 +7,7 @@ the spectral samples: y = f[mask.indices] = A x, where A holds the selected
 rows of the basis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -77,7 +77,7 @@ def sparsify(x, factor):
     |x|).  Kept entries are returned bit-identical.  A constant-magnitude
     vector has std 0 and nothing is zeroed (strict inequality).
     """
-    if factor < 0:
+    if not factor >= 0:  # NaN included
         raise ValueError("threshold factor must be >= 0")
     x = np.asarray(x)
     if x.size == 0:
@@ -187,13 +187,12 @@ class Dictionary:
     that sets FISTA's step (1 for any row selection of a unitary basis),
     the Gram matrix A^H A of the greedy solvers' least squares, and the
     eigendecomposition of A A^H through which ADMM solves its damped system
-    for any penalty.  recover_cube builds what its solver needs before
-    forking worker processes, so every worker receives it with the
-    dictionary.
+    for any penalty.  The constructor takes the matrix alone.
+    recover_cube builds what its solver needs before forking worker
+    processes, so every worker receives it with the dictionary.
     """
 
     matrix: np.ndarray
-    _admm_factor: tuple | None = field(default=None, repr=False)
 
     @property
     def m(self):
@@ -221,15 +220,17 @@ class Dictionary:
         """A^H A, built on first use."""
         return self.matrix.conj().T @ self.matrix
 
+    @cached_property
+    def _admm_factor(self):
+        eigenvalues, q = np.linalg.eigh(self.matrix @ self.matrix.conj().T)
+        # A A^H is positive semidefinite; round-off may dip below zero
+        return np.maximum(eigenvalues, 0.0), q, q.conj().T @ self.matrix
+
     def admm_factor(self):
         """(eigenvalues, Q, Q^H A) of A A^H = Q diag(eigenvalues) Q^H, built
         on first use.  By Woodbury, for every alpha > 0,
             (A^H A + alpha I)^-1 u = (u - (Q^H A)^H D Q^H A u) / alpha,
         with D = diag(1 / (eigenvalues + alpha)), and Q^H A x = D Q^H A u."""
-        if self._admm_factor is None:
-            eigenvalues, q = np.linalg.eigh(self.matrix @ self.matrix.conj().T)
-            # A A^H is positive semidefinite; round-off may dip below zero
-            self._admm_factor = (np.maximum(eigenvalues, 0.0), q, q.conj().T @ self.matrix)
         return self._admm_factor
 
 

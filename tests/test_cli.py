@@ -402,8 +402,10 @@ class TestReport:
         [
             lambda raw: raw.replace(b'"gomp"', b'"g\xffmp"'),
             lambda raw: re.sub(rb'"n_converged": \d+', b'"n_converged": "x"', raw),
+            lambda raw: re.sub(rb'"convergence_pct": [^,]+', b'"convergence_pct": 200.0', raw),
+            lambda raw: raw.replace(b'"gomp"', b'"newton"'),
         ],
-        ids=["non-utf8", "mistyped"],
+        ids=["non-utf8", "mistyped", "out-of-range", "unknown-algorithm"],
     )
     def test_damaged_record_is_an_error(self, cube_file, tmp_path, damage):
         run_dir = tmp_path / "run"
@@ -411,6 +413,15 @@ class TestReport:
         meta_path = run_dir / "run_gomp_kappa2.json"
         meta_path.write_bytes(damage(meta_path.read_bytes()))
         assert main(["report", "--input", str(run_dir)]) == EXIT_IO
+
+    def test_undefined_psnr_is_a_config_error(self, tmp_path):
+        # a constant -1 cube has no positive signed maximum
+        cube_file = tmp_path / "dark.hsc"
+        save_cube(HsiCube(data=-np.ones((2, 2, 24))), cube_file)
+        out = tmp_path / "bench"
+        assert main(["bench", "--input", str(cube_file), "--out", str(out), "--algo", "fista",
+                     "--t-conv", "0", "--max-iter", "50"]) == EXIT_OK
+        assert main(["report", "--input", str(out), "--psnr-peak", "signed-max"]) == EXIT_CONFIG
 
 
 class TestBench:
@@ -495,6 +506,24 @@ class TestBench:
         )
         assert code == EXIT_CONFIG
         assert not (out / "sparsified.hsc").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--algo", "fista", "--epsilon", "nan"],
+            ["--algo", "fista", "--lambda", "nan"],
+            ["--algo", "admm", "--alpha", "nan"],
+            ["--algo", "fista", "--t-conv", "nan"],
+            ["--algo", "biht", "--kappa", "2", "--mu", "nan"],
+            ["--algo", "fista", "--T", "nan"],
+        ],
+        ids=["epsilon", "lambda", "alpha", "t-conv", "mu", "T"],
+    )
+    def test_nan_parameter_writes_nothing(self, cube_file, tmp_path, flags):
+        out = tmp_path / "b"
+        code = main(["bench", "--input", str(cube_file), "--out", str(out), "--max-iter", "50", *flags])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
     def test_algo_takes_a_comma_list_and_repeats_add_up(self, cube_file, tmp_path):
         out = tmp_path / "bench"

@@ -244,7 +244,7 @@ class TestGramLeastSquares:
         s, solved = gram_least_squares_one(b, b.conj().T @ b, y)
         assert not solved
         dup = Dictionary.from_matrix(matrix)
-        block = _CosampBlock(matrix, y[None], dup, SolverConfig(kappa=3))
+        block = _CosampBlock(y[None], dup, SolverConfig(kappa=3))
         assert block.solve(support[None], y[None])[0].tobytes() == least_squares(b, y).tobytes()
 
     def test_nan_right_hand_side_gives_non_finite_values(self):

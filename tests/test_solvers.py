@@ -69,6 +69,10 @@ class TestSolverConfig:
             SolverConfig(time_limit=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+        for name in ("lam", "mu", "alpha", "epsilon", "time_limit"):
+            with pytest.raises(ValueError):
+                SolverConfig(**{name: np.nan})
+            SolverConfig(**{name: np.inf})
 
 
 def stops(delta, charge, iterations, cfg):
@@ -148,7 +152,7 @@ class TestConvexSolvers:
         rng = np.random.default_rng(3)
         d = Dictionary.from_matrix(rng.standard_normal((6, 15)) + 1j * rng.standard_normal((6, 15)))
         y = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        block = _AdmmBlock(d.matrix, y, d, SolverConfig(lam=0.0))
+        block = _AdmmBlock(y, d, SolverConfig(lam=0.0))
         alpha = np.array([[0.05], [0.3], [1.8], [10.0]])
         block.penalize(alpha)
         block.z = rng.standard_normal((4, 15)) + 1j * rng.standard_normal((4, 15))
@@ -273,6 +277,8 @@ class TestGreedySolvers:
         for solver in (gomp, biht, cosamp):
             with pytest.raises(ValueError):
                 solver(np.zeros(6), d, SolverConfig(kappa=7, time_limit=None))
+        with pytest.raises(ValueError):  # 2*kappa > n, kappa <= m
+            cosamp(np.zeros(6), partial_fourier(8, 6, 0), SolverConfig(kappa=5, time_limit=None))
 
 
 class TestStopIntegration:
@@ -408,7 +414,7 @@ class TestRecoverCube:
         d, meas = desk_scene(8, 8, 64, 4, seed=1, factor=0.01)
         cfg = SolverConfig(lam=0.01, time_limit=None, max_iter=20_000)
         y = meas.reshape(64, -1)
-        block = _AdmmBlock(d.matrix, y, d, cfg)
+        block = _AdmmBlock(y, d, cfg)
         for _ in range(50):
             block.step(y, y)
         assert np.unique(block.alpha).size >= 3  # the penalties diverged
@@ -588,7 +594,7 @@ class TestGreedyTiles:
         # iterate is the bytes of refitting on its kappa strongest atoms
         d, meas = scene
         y = np.ascontiguousarray(meas.reshape(-1, d.m)[:30])
-        block = _GompBlock(d.matrix, y, d, SolverConfig(kappa=4, time_limit=None))
+        block = _GompBlock(y, d, SolverConfig(kappa=4, time_limit=None))
         rng = np.random.default_rng(5)
         candidates = np.zeros((30, d.n), dtype=bool)
         for row, size in zip(candidates, np.repeat([3, 4, 5], 10)):
@@ -613,7 +619,7 @@ class TestGreedyTiles:
         dup = Dictionary.from_matrix(matrix)
         y = np.ascontiguousarray(meas.reshape(-1, d.m)[:30])
         y[27, 3] = np.nan
-        block = _CosampBlock(matrix, y, dup, SolverConfig(kappa=16))
+        block = _CosampBlock(y, dup, SolverConfig(kappa=16))
         rng = np.random.default_rng(6)
         supports = np.zeros((30, d.n), dtype=bool)
         sizes = rng.permutation(np.repeat([1, 10, 48], [6, 10, 14]))
@@ -643,7 +649,7 @@ class TestGreedyTiles:
         # stacked atom entries, within REFIT_ENTRIES, so one solve call
         d, meas = scene
         y = np.ascontiguousarray(np.resize(meas.reshape(-1, d.m), (256, d.m)))
-        block = _GompBlock(d.matrix, y, d, SolverConfig(kappa=4))
+        block = _GompBlock(y, d, SolverConfig(kappa=4))
         supports = np.zeros((256, d.n), dtype=bool)
         supports[np.arange(256), np.arange(256) % d.n] = True
         calls = []
@@ -662,7 +668,7 @@ class TestGreedyTiles:
         # and in chunks of REFIT_ENTRIES atom entries (6 rows) ~0.9 MiB
         d, meas = scene
         y = np.ascontiguousarray(np.resize(meas.reshape(-1, d.m), (256, d.m)))
-        block = _CosampBlock(d.matrix, y, d, SolverConfig(kappa=16))
+        block = _CosampBlock(y, d, SolverConfig(kappa=16))
         rng = np.random.default_rng(8)
         supports = np.zeros((256, d.n), dtype=bool)
         for row in supports:

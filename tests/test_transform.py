@@ -127,6 +127,8 @@ class TestSparsify:
         with pytest.raises(ValueError):
             sparsify(np.array([1.0]), -0.5)
         with pytest.raises(ValueError):
+            sparsify(np.array([1.0]), np.nan)
+        with pytest.raises(ValueError):
             sparsify(np.array([]), 0.1)
 
 
@@ -332,7 +334,9 @@ class TestDictionary:
 
     def test_admm_factor_is_built_once(self):
         d = partial_fourier(12, 5, 1)
-        assert d._admm_factor is None
+        assert "_admm_factor" not in vars(d)
+        with pytest.raises(TypeError):  # the constructor takes the matrix alone
+            Dictionary(matrix=d.matrix, _admm_factor=None)
         factor = d.admm_factor()
         assert d.admm_factor() is factor
         # any row selection of a unitary basis has orthonormal rows: A A^H = I
