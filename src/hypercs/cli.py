@@ -246,8 +246,12 @@ def run_report(run_dir, out_path=None, dataset=None, peak="abs-max"):
             n_converged = meta["n_converged"]
             if n_converged > 0 and meta["total_iterations"] == 0 and n_converged > meta["n_zero_pixels"]:
                 raise PipelineFileError(f"{meta_path}: converged pixels with zero iterations")
+            recovered = load_cube(run_dir / meta["recovered_file"])
+            if recovered.data.shape != sparsified.data.shape:
+                raise PipelineFileError(f"{meta_path}: recovered cube shape {recovered.data.shape} "
+                                        f"differs from {SPARSIFIED_FILE}'s {sparsified.data.shape}")
             # an undefined PSNR (a ValueError) is the peak convention's fault, not the record's
-            quality = psnr(sparsified, load_cube(run_dir / meta["recovered_file"]), peak)
+            quality = psnr(sparsified, recovered, peak)
         except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise PipelineFileError(f"{meta_path}: unreadable recovery record: {exc}") from None
         try:

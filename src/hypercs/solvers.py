@@ -14,7 +14,8 @@ sharing A; recover_cube is its one way in, a single pixel being a 1x1
 cube.  Each solver supplies the step.  fista and admm minimize the lasso
 objective
     H(x) = 0.5 * ||A x - y||^2 + lam * ||x||_1
-with block products; gomp, biht and cosamp greedily build a support of at
+with block products, each row with its own momentum restart (fista) or
+penalty (admm); gomp, biht and cosamp greedily build a support of at
 most kappa atoms per row with block-wide projections, top-k picks, prunes
 and residuals, and least-squares refits stacked over rows of one support
 size, only their LAPACK calls row by row, so each pixel's iterates are the
@@ -22,7 +23,6 @@ ones it gets alone.  Solvers draw no randomness, so
 results are reproducible bit for bit when the time budget is disabled.
 """
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -139,16 +139,23 @@ def _squared_row_norms(v):
     return (v.real**2 + v.imag**2).sum(axis=-1, keepdims=True)
 
 
-def _fista_momentum(t):
-    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+def _real_row_dots(u, v):
+    """Re<u_j, v_j> of each row pair of two complex (k, n) blocks, as a (k, 1)
+    column: the dot product of the rows' float64 views."""
+    return np.einsum("ij,ij->i", u.view(np.float64), v.view(np.float64))[:, None]
 
 
 class _FistaBlock:
     """FISTA (Beck & Teboulle 2009) on a (k, n) block of pixel rows, which
-    take A as x @ A^T and A^H as r @ conj(A).
+    take A as x @ A^T and A^H as r @ conj(A), with the gradient restart of
+    O'Donoghue & Candes (2015, "Adaptive restart for accelerated gradient
+    schemes").
 
-    The momentum weight t depends only on the iteration number, which every
-    active row shares, so one scalar serves the whole block.
+    Each row has its own momentum weight t, a (k, 1) column.  A row restarts
+    when its step x_new - x points against its gradient step x_new - z,
+    Re<z - x_new, x_new - x> > 0: its t is set to 1 before the momentum
+    update, so its extrapolation weight is 0 and z = x_new.  A row thus
+    computes in a block what it computes alone, to round-off.
     """
 
     def __init__(self, y, dictionary, config):
@@ -158,7 +165,7 @@ class _FistaBlock:
         self.threshold = config.lam * self.inv_l
         self.x = np.zeros((len(y), dictionary.n), dtype=np.complex128)
         self.z = self.x
-        self.t = 1.0
+        self.t = np.ones((len(y), 1))
 
     def step(self, y, residual):
         """One iteration; returns the residual of the new iterate and the
@@ -167,10 +174,13 @@ class _FistaBlock:
         aux = self.z - self.inv_l * ((self.z @ self.at - y) @ self.ac)
         # 2. proximal shrinkage
         x_new = soft_threshold(aux, self.threshold)
-        # 3. momentum weight update
-        t_new = _fista_momentum(self.t)
+        # 3. gradient restart, then the momentum weight update
+        step = x_new - self.x
+        restart = _real_row_dots(self.z - x_new, step) > 0
+        t = np.where(restart, 1.0, self.t)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         # 4. extrapolation
-        self.z = x_new + ((self.t - 1.0) / t_new) * (x_new - self.x)
+        self.z = x_new + ((t - 1.0) / t_new) * step
         self.x, self.t = x_new, t_new
         return y - self.x @ self.at, np.zeros(len(y), dtype=bool)
 
@@ -179,7 +189,7 @@ class _FistaBlock:
         return self.x
 
     def keep(self, rows):
-        self.x, self.z = self.x[rows], self.z[rows]
+        self.x, self.z, self.t = self.x[rows], self.z[rows], self.t[rows]
 
 
 class _AdmmBlock:
@@ -606,9 +616,9 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     Tiles of at most TILE_PIXELS consecutive pixels are solved as one block; with jobs > 1
     they go to at most one worker process per tile, each on one OpenBLAS thread, and the
     caller's threading is left as found.
-    Every pixel keeps its own stop rule, and under admm its own penalty, so the iteration
-    counts equal those of per-pixel solver calls; greedy coefficients are identical and
-    convex ones agree to round-off.
+    Every pixel keeps its own stop rule, and its own momentum under fista and penalty under
+    admm, so the iteration counts equal those of per-pixel solver calls; greedy coefficients
+    are identical and convex ones agree to round-off.
     """
     if algorithm not in SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")

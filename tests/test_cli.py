@@ -414,6 +414,13 @@ class TestReport:
         meta_path.write_bytes(damage(meta_path.read_bytes()))
         assert main(["report", "--input", str(run_dir)]) == EXIT_IO
 
+    def test_wrong_shape_recovered_cube_is_an_error(self, cube_file, tmp_path):
+        out = tmp_path / "bench"
+        assert main(["bench", "--input", str(cube_file), "--out", str(out), "--algo", "gomp",
+                     "--kappa", "2", "--t-conv", "0", "--max-iter", "50"]) == EXIT_OK
+        save_cube(generate_synthetic_cube(3, 3, 24, 2, seed=5), out / "recovered_gomp_kappa2.hsc")
+        assert main(["report", "--input", str(out)]) == EXIT_IO
+
     def test_undefined_psnr_is_a_config_error(self, tmp_path):
         # a constant -1 cube has no positive signed maximum
         cube_file = tmp_path / "dark.hsc"

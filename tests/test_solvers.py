@@ -26,7 +26,7 @@ from hypercs import (
     stop_check,
 )
 from hypercs.kernels import argmax_k, least_squares, one_blas_thread
-from hypercs.solvers import REFIT_ENTRIES, _AdmmBlock, _CosampBlock, _GompBlock, _prune
+from hypercs.solvers import REFIT_ENTRIES, _AdmmBlock, _CosampBlock, _FistaBlock, _GompBlock, _prune
 
 from helpers import desk_scene, partial_fourier, planted_instance
 
@@ -165,11 +165,10 @@ class TestConvexSolvers:
             assert np.linalg.norm(block.z[j] - w[j] - x) <= 1e-12 * np.linalg.norm(x)
             np.testing.assert_allclose(residual[j], y[j] - d.matrix @ x, rtol=0, atol=1e-12)
 
-    def test_admm_stops_at_the_lasso_minimum(self):
-        # at a fixed penalty of 1.8, pixel (2, 6) of this scene stopped
-        # "converged" after 18,070 iterations, its objective 1.1e-2 above
-        # fista's; balanced penalties reach fista's objective (or below it)
-        # in at most twice fista's iterations
+    @pytest.fixture(scope="class")
+    def desk_lasso(self):
+        """The seed-1 16x16x64 desk scene at lambda 1e-3, recovered by fista
+        and by admm: (dictionary, measurements, lam, cubes, iterations)."""
         d, meas = desk_scene(16, 16, 64, 4, seed=1, factor=0.1)
         cfg = SolverConfig(lam=1e-3, epsilon=1e-8, time_limit=None, max_iter=20_000)
         cubes, iterations = {}, {}
@@ -177,12 +176,29 @@ class TestConvexSolvers:
             cubes[name], stats = recover_cube(meas, d, cfg, name)
             assert stats.n_converged == 256
             iterations[name] = stats.total_iterations
+        return d, meas, cfg.lam, cubes, iterations
+
+    @staticmethod
+    def objectives(desk_lasso, name):
+        d, meas, lam, cubes, _ = desk_lasso
+        return np.array([[lasso_objective(cubes[name][ix, iy], meas[ix, iy], d, lam)
+                          for iy in range(16)] for ix in range(16)])
+
+    def test_admm_stops_at_the_lasso_minimum(self, desk_lasso):
+        # at a fixed penalty of 1.8, pixel (2, 6) of this scene stopped
+        # "converged" after 18,070 iterations, its objective 1.1e-2 above
+        # fista's; balanced penalties reach fista's objective (or below it)
+        # in at most twice fista's iterations
+        *_, iterations = desk_lasso
         assert iterations["admm"] <= 2 * iterations["fista"]
-        for ix in range(16):
-            for iy in range(16):
-                h_fista = lasso_objective(cubes["fista"][ix, iy], meas[ix, iy], d, cfg.lam)
-                h_admm = lasso_objective(cubes["admm"][ix, iy], meas[ix, iy], d, cfg.lam)
-                assert h_admm - h_fista <= 1e-9 * h_fista
+        h_fista, h_admm = self.objectives(desk_lasso, "fista"), self.objectives(desk_lasso, "admm")
+        assert (h_admm - h_fista <= 1e-9 * h_fista).all()
+
+    def test_fista_stops_at_the_lasso_minimum(self, desk_lasso):
+        # without restart, pixel (2, 6) of this scene stopped "converged"
+        # after 590 iterations, its objective 1.69e-4 above admm's
+        h_fista, h_admm = self.objectives(desk_lasso, "fista"), self.objectives(desk_lasso, "admm")
+        assert (h_fista - h_admm <= 1e-9 * h_admm).all()
 
     def test_fista_objective_never_beats_the_zero_vector_by_accident(self):
         d, _, y = planted_instance(16, 7, 3, 0)
@@ -408,6 +424,26 @@ class TestRecoverCube:
             assert stats.n_converged == 6
         assert calls == [(7, 7)]
 
+    @staticmethod
+    def assert_pixels_match_their_lone_solves(meas, d, cfg, name):
+        """Each pixel of an 8x8 scene takes the iterations and converged flag
+        of its lone solve in a 256-pixel tile and in a worker's tile, with
+        coefficients within 1e-12."""
+        tiled, tiled_stats = recover_cube(np.tile(meas, (2, 2, 1)), d, cfg, name)
+        pooled, pooled_stats = recover_cube(meas, d, cfg, name, jobs=2)
+        tiled_iterations = tiled_stats.iterations.reshape(16, 16)
+        tiled_converged = tiled_stats.converged.reshape(16, 16)
+        for ix in range(8):
+            for iy in range(8):
+                single = SOLVERS[name](meas[ix, iy], d, cfg)
+                for iterations, converged in ((tiled_iterations[ix, iy], tiled_converged[ix, iy]),
+                                              (tiled_iterations[ix + 8, iy + 8], tiled_converged[ix + 8, iy + 8]),
+                                              (pooled_stats.iterations[8 * ix + iy], pooled_stats.converged[8 * ix + iy])):
+                    assert iterations == single.iterations
+                    assert converged == single.converged
+                for x in (tiled[ix, iy], tiled[ix + 8, iy + 8], pooled[ix, iy]):
+                    np.testing.assert_allclose(x, single.x, rtol=0, atol=1e-12)
+
     def test_admm_pixels_are_independent_of_their_tile(self):
         # every row balances its own penalty: a pixel runs the same
         # iterations alone, in a 256-pixel tile and in a worker's tile
@@ -418,17 +454,24 @@ class TestRecoverCube:
         for _ in range(50):
             block.step(y, y)
         assert np.unique(block.alpha).size >= 3  # the penalties diverged
-        tiled, tiled_stats = recover_cube(np.tile(meas, (2, 2, 1)), d, cfg, "admm")
-        pooled, pooled_stats = recover_cube(meas, d, cfg, "admm", jobs=2)
-        tiled_iterations = tiled_stats.iterations.reshape(16, 16)
-        for ix in range(8):
-            for iy in range(8):
-                single = admm(meas[ix, iy], d, cfg)
-                assert tiled_iterations[ix, iy] == single.iterations
-                assert tiled_iterations[ix + 8, iy + 8] == single.iterations
-                assert pooled_stats.iterations[8 * ix + iy] == single.iterations
-                for x in (tiled[ix, iy], tiled[ix + 8, iy + 8], pooled[ix, iy]):
-                    np.testing.assert_allclose(x, single.x, rtol=0, atol=1e-12)
+        self.assert_pixels_match_their_lone_solves(meas, d, cfg, "admm")
+
+    def test_fista_pixels_restart_independently_of_their_tile(self):
+        # every row restarts its own momentum: a pixel runs the same
+        # iterations alone, in a 256-pixel tile and in a worker's tile
+        d, meas = desk_scene(8, 8, 64, 4, seed=1, factor=0.01)
+        cfg = SolverConfig(lam=0.01, time_limit=None, max_iter=20_000)
+        y = meas.reshape(64, -1)
+        block = _FistaBlock(y, d, cfg)
+        block.step(y, y)  # from t = 1: no momentum yet
+        first_restart = np.zeros(64, dtype=int)
+        for iteration in range(2, 40):
+            block.step(y, y)
+            # a row that restarted extrapolates to its new iterate
+            restarted = (block.z == block.x).all(axis=1)
+            first_restart[(first_restart == 0) & restarted] = iteration
+        assert np.unique(first_restart[first_restart > 0]).size >= 3  # rows restart apart
+        self.assert_pixels_match_their_lone_solves(meas, d, cfg, "fista")
 
     @pytest.mark.parametrize("name", ["gomp", "admm"])
     def test_only_fista_builds_the_lipschitz_constant(self, measured, name):
