@@ -15,9 +15,7 @@ import configparser
 import csv
 import json
 import math
-import os
 import re
-import struct
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -25,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cube import CubeFormatError, HsiCube, load_cube, save_cube
+from .cube import CubeFormatError, HsiCube, load_cube, read_native, save_cube, write_native
 from .kernels import one_blas_thread
 from .metrics import (
     PEAK_CONVENTIONS,
@@ -53,10 +51,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_PARTIAL = 4
 
-JOBS_ENV = "HYPERCS_JOBS"
-
 MEAS_MAGIC = b"HSM1"
-MEAS_HEADER = struct.Struct("<IIII")
 
 SPARSIFIED_FILE = "sparsified.hsc"
 SPARSIFY_STATS_FILE = "sparsify_stats.json"
@@ -77,28 +72,16 @@ class PipelineFileError(Exception):
 
 
 def save_measurements(path, measurements, n):
-    """Per-pixel measurement file: magic, x/y/m/n dims, complex128 payload."""
-    meas = np.ascontiguousarray(measurements, dtype=np.complex128)
+    """Per-pixel measurement file in the native layout: magic HSM1, x/y/m/n
+    dims, complex128 payload."""
+    meas = np.ascontiguousarray(measurements, dtype="<c16")
     x, y, m = meas.shape
-    with open(path, "wb") as fh:
-        fh.write(MEAS_MAGIC)
-        fh.write(MEAS_HEADER.pack(x, y, m, n))
-        meas.tofile(fh)
+    write_native(path, MEAS_MAGIC, (x, y, m, n), meas)
 
 
 def load_measurements(path):
     """(x, y, m) complex128 measurements and n, the band count."""
-    with open(path, "rb") as fh:
-        head = fh.read(4 + MEAS_HEADER.size)
-        if len(head) < 4 + MEAS_HEADER.size or head[:4] != MEAS_MAGIC:
-            raise PipelineFileError(f"{path}: not a measurement file")
-        x, y, m, n = MEAS_HEADER.unpack_from(head, 4)
-        if min(x, y, m, n) < 1:
-            raise PipelineFileError(f"{path}: degenerate dimensions x={x} y={y} m={m} n={n}")
-        count = x * y * m
-        if os.fstat(fh.fileno()).st_size != len(head) + count * 16:
-            raise PipelineFileError(f"{path}: payload size does not match the header")
-        meas = np.fromfile(fh, dtype="<c16", count=count)
+    (x, y, m, n), meas = read_native(path, MEAS_MAGIC, 4, ("<c16",), PipelineFileError)
     return meas.reshape(x, y, m), n
 
 
@@ -352,11 +335,11 @@ OPTIONS = {
         Option("--t-conv", "time budget in seconds (<= 0 disables)", float, param="time_limit",
                solver=True),
         Option("--max-iter", "iteration cap (0 means unlimited)", int, solver=True),
-        Option("--jobs", f"worker processes, 0 = auto (env {JOBS_ENV})", int),
+        Option("--jobs", "worker processes, 0 = auto (default 1)", int),
     )
 }
 
-SOLVER_OPTIONS = ["algo", "lambda", "kappa", "g", "mu", "alpha", "epsilon", "t_conv", "max_iter", "jobs"]
+SOLVER_OPTIONS = ["algo", *(key for key, option in OPTIONS.items() if option.solver), "jobs"]
 
 
 def _load_config_file(path):
@@ -414,10 +397,7 @@ class Settings:
 def _resolve_jobs(settings):
     jobs = settings.get("jobs")
     if jobs is None:
-        try:
-            jobs = int(os.environ.get(JOBS_ENV, 1))
-        except ValueError:
-            raise ConfigError(f"bad {JOBS_ENV} value {os.environ[JOBS_ENV]!r}") from None
+        return 1
     if jobs < 0:
         raise ConfigError("jobs must be >= 0")
     return jobs or None  # 0 means auto-detect
@@ -425,14 +405,16 @@ def _resolve_jobs(settings):
 
 def _solver_configs(settings, algo):
     """One SolverConfig per swept value of one algorithm: lambda for the
-    convex solvers, kappa (required) for the greedy ones.  Every other knob
-    takes one value, and SolverConfig holds every default."""
+    convex solvers, kappa (required) for the greedy ones.  The other
+    family's options are not read; every other solver option takes one
+    value, and SolverConfig holds every default."""
     if algo in CONVEX_SOLVERS:
-        swept, keys = "lam", ["lambda"]
+        swept, others = "lam", ("kappa", "g")
     else:
         settings.require("kappa", algo)
-        swept, keys = "kappa", ["kappa", "g"]
-    params = settings.given(keys + ["mu", "alpha", "epsilon", "t_conv", "max_iter"], algo)
+        swept, others = "kappa", ("lambda",)
+    keys = [key for key, option in OPTIONS.items() if option.solver and key not in others]
+    params = settings.given(keys, algo)
     if "time_limit" in params and params["time_limit"] <= 0:
         params["time_limit"] = None  # a budget <= 0 disables it
     if params.get("max_iter") == 0:
@@ -494,6 +476,9 @@ def cmd_bench(args):
     # every option is parsed before the first stage writes a file
     runs = [(algo, config) for algo in settings.require("algo")
             for config in _solver_configs(settings, algo)]
+    tags = [_tag(algo, config) for algo, config in runs]
+    if repeated := sorted({tag for tag in tags if tags.count(tag) > 1}):
+        raise ConfigError(f"sweep points share the run tag {', '.join(repeated)}: one would overwrite another")
     jobs = _resolve_jobs(settings)
     bands = settings.get("export_bands")
     dataset = settings.get("dataset")
@@ -508,11 +493,9 @@ def cmd_bench(args):
     _sparsify(settings, check_bands)
     run_compress(out_dir, **compress)
     failed = 0
-    tags = []
     for algo, config in runs:
-        stats, tag = run_recover(out_dir, algo, config, jobs, dataset, args.blas_threads)
+        stats, _ = run_recover(out_dir, algo, config, jobs, dataset, args.blas_threads)
         failed += stats.n_failed
-        tags.append(tag)
     run_report(out_dir, **report)
     if bands is not None:
         # one cube in memory at a time

@@ -2,9 +2,10 @@
 
 Cubes are stored as float64 arrays of shape (x, y, bands); the flat sample
 order is therefore x-major with the band index fastest.  The native binary
-layout is the magic b"HSC1", the three dimensions as little-endian uint32,
-then the little-endian float64 samples in that same order (float32 files
-are read too).  ENVI cubes (BSQ/BIL/BIP,
+layout is a four-byte magic, the dimensions as little-endian uint32, then
+the little-endian samples in C order: b"HSC1", (x, y, bands) and float64
+samples for a cube (float32 files are read too).  The pipeline's
+measurement files share it (see write_native).  ENVI cubes (BSQ/BIL/BIP,
 data types 4, 5 and 12) are read-only.
 """
 
@@ -19,7 +20,6 @@ import numpy as np
 from .transform import build_dft_basis, from_sparse_domain
 
 NATIVE_MAGIC = b"HSC1"
-NATIVE_HEADER = struct.Struct("<III")
 
 ENVI_DTYPES = {4: "f4", 5: "f8", 12: "u2"}
 ENVI_INTERLEAVES = ("bsq", "bil", "bip")
@@ -69,13 +69,36 @@ def extract_pixel(cube, x, y):
     return cube.data[x, y, :].copy()
 
 
+def write_native(path, magic, dims, payload):
+    """Write a file in the native layout: magic, dims, then the C-order payload."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack(f"<{len(dims)}I", *dims))
+        payload.tofile(fh)
+
+
+def read_native(path, magic, ndims, dtypes, error):
+    """(dims, flat payload) of a native file with ndims dimensions, each
+    >= 1, whose payload is exactly dims[0] * dims[1] * dims[2] samples of
+    one of dtypes, tried in order; anything else raises error."""
+    offset = len(magic) + 4 * ndims
+    with open(path, "rb") as fh:
+        head = fh.read(offset)
+        if len(head) < offset or head[: len(magic)] != magic:
+            raise error(f"{path}: not a {magic.decode()} file")
+        dims = struct.unpack_from(f"<{ndims}I", head, len(magic))
+        if min(dims) < 1:
+            raise error(f"{path}: degenerate dimensions {dims}")
+        count = dims[0] * dims[1] * dims[2]
+        size = os.fstat(fh.fileno()).st_size - offset
+        for dtype in map(np.dtype, dtypes):
+            if size == count * dtype.itemsize:
+                return dims, np.fromfile(fh, dtype=dtype, count=count)
+    raise error(f"{path}: payload holds {size} bytes, expected {count} samples")
+
+
 def save_cube(cube, path):
     """Write a cube in the native binary layout with float64 samples."""
-    payload = np.ascontiguousarray(cube.data, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(NATIVE_MAGIC)
-        fh.write(NATIVE_HEADER.pack(cube.x, cube.y, cube.bands))
-        payload.tofile(fh)
+    write_native(path, NATIVE_MAGIC, cube.data.shape, np.ascontiguousarray(cube.data, dtype="<f8"))
 
 
 def load_cube(path, kind=None):
@@ -95,24 +118,11 @@ def load_cube(path, kind=None):
 
 def _load_native(path):
     """The samples are read straight into the cube's array: f8 needs no copy."""
-    offset = 4 + NATIVE_HEADER.size
-    with open(path, "rb") as fh:
-        head = fh.read(offset)
-        if len(head) < offset or head[:4] != NATIVE_MAGIC:
-            raise CubeFormatError(f"{path}: not a native cube file")
-        x, y, bands = NATIVE_HEADER.unpack_from(head, 4)
-        if min(x, y, bands) < 1:
-            raise CubeFormatError(f"{path}: degenerate dimensions {x} x {y} x {bands}")
-        count = x * y * bands
-        payload = os.fstat(fh.fileno()).st_size - offset
-        for size in (8, 4):
-            if payload == count * size:
-                data = np.fromfile(fh, dtype="<f8" if size == 8 else "<f4", count=count)
-                try:
-                    return HsiCube(data=data.reshape(x, y, bands))
-                except ValueError as exc:
-                    raise CubeFormatError(f"{path}: {exc}") from None
-    raise CubeFormatError(f"{path}: payload holds {payload} bytes, expected {count} samples")
+    dims, data = read_native(path, NATIVE_MAGIC, 3, ("<f8", "<f4"), CubeFormatError)
+    try:
+        return HsiCube(data=data.reshape(dims))
+    except ValueError as exc:
+        raise CubeFormatError(f"{path}: {exc}") from None
 
 
 def _find_envi_header(path):

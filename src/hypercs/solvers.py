@@ -105,12 +105,12 @@ def stop_check(delta, charge, iterations, config):
     """Stop rule shared by every solver, applied pixel by pixel before
     each iteration of a block.
 
-    delta and charge are the pixels' residual deltas and time charges,
-    iterations the count every pixel of the block has completed.  Returns
-    the boolean arrays (converged, stopped): a pixel stops when it
-    converged (delta < epsilon, strictly), else when its charge reached the
-    time budget, else at the iteration cap; only the first counts as
-    converged.
+    delta and charge are the pixels' residual deltas and time charges (one
+    charge may stand for every pixel), iterations the count every pixel of
+    the block has completed.  Returns the boolean arrays (converged,
+    stopped): a pixel stops when it converged (delta < epsilon, strictly),
+    else when its charge reached the time budget, else at the iteration cap;
+    only the first counts as converged.
     """
     converged = delta < config.epsilon
     stopped = converged.copy()
@@ -132,11 +132,6 @@ def lasso_objective(x, y, dictionary, lam):
 # and the ratio of its residuals that moves it
 ADMM_TAU = 2.0
 ADMM_MU = 10.0
-
-
-def _squared_row_norms(v):
-    """||v_j||^2 of each row of a complex (k, n) block, as a (k, 1) column."""
-    return (v.real**2 + v.imag**2).sum(axis=-1, keepdims=True)
 
 
 def _real_row_dots(u, v):
@@ -241,8 +236,9 @@ class _AdmmBlock:
         # 3. dual update, w + x - z
         w -= z
         # 4. residual balancing on the squared residuals
-        primal = _squared_row_norms(x - z)
-        dual = self.alpha**2 * _squared_row_norms(z - self.z)
+        r, s = x - z, z - self.z
+        primal = _real_row_dots(r, r)
+        dual = self.alpha**2 * _real_row_dots(s, s)
         self.z, self.w = z, w
         up, down = primal > ADMM_MU**2 * dual, dual > ADMM_MU**2 * primal
         if up.any() or down.any():
@@ -503,14 +499,16 @@ def _solve_block(ys, dictionary, config, block_type):
     halted = np.zeros(rows.size, dtype=bool)
     iterations = 0
     mark = time.perf_counter()
-    stats.elapsed[:] = (mark - start) / k
+    stats.elapsed[:] = charge = (mark - start) / k
     while rows.size:
+        # every active row took part in every iteration: one charge serves them all
         now = time.perf_counter()
-        stats.elapsed[rows] += (now - mark) / rows.size
+        charge += (now - mark) / rows.size
         mark = now
-        converged, stopped = stop_check(delta, stats.elapsed[rows], iterations, config)
+        converged, stopped = stop_check(delta, charge, iterations, config)
         stopped |= halted | ~finite
         if stopped.any():
+            stats.elapsed[rows[stopped]] = charge
             solved = stopped & finite
             done = rows[solved]
             solution[done] = block.solution[solved]

@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import shutil
+import struct
 import subprocess
 from dataclasses import asdict
 
@@ -152,6 +153,15 @@ class TestCompress:
         ).read_bytes()
         assert (tmp_path / "a/mask.txt").read_text() == (tmp_path / "b/mask.txt").read_text()
 
+    def test_on_disk_layout(self, tmp_path):
+        path = tmp_path / "meas.hsm"
+        meas = (np.arange(24.0) + 1j * np.arange(24.0, 48.0)).reshape(2, 3, 4)
+        save_measurements(path, meas, 9)
+        raw = path.read_bytes()
+        assert raw[:4] == b"HSM1"
+        assert struct.unpack("<IIII", raw[4:20]) == (2, 3, 4, 9)
+        np.testing.assert_array_equal(np.frombuffer(raw[20:], dtype="<c16"), meas.reshape(-1))
+
 
 class TestRecover:
     def test_greedy_pipeline(self, cube_file, tmp_path):
@@ -232,25 +242,15 @@ class TestRecover:
         meta = json.loads((run_dir / "run_gomp_kappa2.json").read_text())
         assert meta["n_failed"] == 1
 
-    def test_jobs_env_fallback(self, cube_file, tmp_path, monkeypatch):
-        run_dir = tmp_path / "run"
-        main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
-        main(["compress", "--input", str(run_dir)])
-        monkeypatch.setenv("HYPERCS_JOBS", "2")
-        code = main(
-            ["recover", "--input", str(run_dir), "--algo", "gomp", "--kappa", "2",
-             "--t-conv", "0", "--max-iter", "400"]
-        )
-        assert code == EXIT_OK
-
-    def test_bad_jobs_values(self, cube_file, tmp_path, monkeypatch):
+    def test_bad_jobs_values(self, cube_file, tmp_path):
         run_dir = tmp_path / "run"
         main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
         main(["compress", "--input", str(run_dir)])
         args = ["recover", "--input", str(run_dir), "--algo", "gomp", "--kappa", "2"]
         assert main(args + ["--jobs", "-1"]) == EXIT_CONFIG
-        monkeypatch.setenv("HYPERCS_JOBS", "two")
-        assert main(args) == EXIT_CONFIG
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\njobs = -1\n")
+        assert main(args + ["--config", str(config)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
         "mask",
@@ -531,6 +531,18 @@ class TestBench:
         code = main(["bench", "--input", str(cube_file), "--out", str(out), "--max-iter", "50", *flags])
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [["--algo", "fista", "--lambda", "0.1,0.1000001"], ["--algo", "gomp", "--kappa", "2,2"]],
+        ids=["lambda", "kappa"],
+    )
+    def test_sweep_points_sharing_a_run_tag_write_nothing(self, cube_file, tmp_path, sweep):
+        # lambda prints with %g in the tag, so 0.1 and 0.1000001 are both fista_lambda0.1
+        out = tmp_path / "b"
+        code = main(["bench", "--input", str(cube_file), "--out", str(out), "--max-iter", "50", *sweep])
+        assert code == EXIT_CONFIG
+        assert not (out / "sparsified.hsc").exists()
 
     def test_algo_takes_a_comma_list_and_repeats_add_up(self, cube_file, tmp_path):
         out = tmp_path / "bench"

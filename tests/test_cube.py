@@ -87,9 +87,10 @@ class TestNativeFormat:
         with pytest.raises(CubeFormatError):
             load_cube(path, "native")
 
-    def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "short.hsc"
-        path.write_bytes(b"HSC1" + struct.pack("<III", 2, 2, 3) + b"\0" * 10)
+    @pytest.mark.parametrize("size", [10, 12 * 8 + 16], ids=["truncated", "oversized"])
+    def test_payload_of_the_wrong_size_rejected(self, tmp_path, size):
+        path = tmp_path / "bad.hsc"
+        path.write_bytes(b"HSC1" + struct.pack("<III", 2, 2, 3) + b"\0" * size)
         with pytest.raises(CubeFormatError):
             load_cube(path)
 
