@@ -43,7 +43,6 @@ from .solvers import (
     stop_check,
 )
 from .transform import (
-    DftBasis,
     Dictionary,
     SelectionMask,
     SparsifyStats,

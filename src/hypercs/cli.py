@@ -88,10 +88,9 @@ def load_measurements(path):
 # ---------------------------------------------------------------- stages
 
 
-def run_sparsify(input_path, out_dir, kind="auto", factor=0.1, peak="abs-max", dataset=None,
-                 check=None):
+def run_sparsify(input_path, out_dir, factor=0.1, peak="abs-max", check=None):
     """check, if given, is called with the cube's band count before any file is written."""
-    cube = load_cube(input_path, None if kind == "auto" else kind)
+    cube = load_cube(input_path)
     if check is not None:
         check(cube.bands)
     basis = build_dft_basis(cube.bands)
@@ -109,7 +108,7 @@ def run_sparsify(input_path, out_dir, kind="auto", factor=0.1, peak="abs-max", d
     save_cube(sparsified, out_dir / SPARSIFIED_FILE)
     quality = psnr(cube, sparsified, peak)
     stats = {
-        "dataset": dataset or Path(input_path).stem,
+        "dataset": Path(input_path).stem,
         "threshold_factor": factor,
         "zero_fraction": float(zeroed) / cube.samples.size,
         "psnr_db_vs_original": "identical" if math.isinf(quality) else quality,
@@ -163,7 +162,7 @@ def _write_pixel_log(path, stats, y_dim):
                 )
 
 
-def run_recover(run_dir, algorithm, config, jobs, dataset=None, blas_threads=None):
+def run_recover(run_dir, algorithm, config, jobs, blas_threads=None):
     run_dir = Path(run_dir)
     measurements, n = load_measurements(run_dir / MEASUREMENTS_FILE)
     try:
@@ -172,14 +171,11 @@ def run_recover(run_dir, algorithm, config, jobs, dataset=None, blas_threads=Non
         raise PipelineFileError(f"{run_dir / MASK_FILE}: {exc}") from None
     if mask.n != n or mask.m != measurements.shape[2]:
         raise PipelineFileError(f"{run_dir}: mask does not match the measurement file")
-    if dataset is None:
-        stats_path = run_dir / SPARSIFY_STATS_FILE
-        if stats_path.exists():
-            try:
-                dataset = json.loads(stats_path.read_text()).get("dataset")
-            except (AttributeError, ValueError) as exc:  # not UTF-8, not JSON, not an object
-                raise PipelineFileError(f"{stats_path}: unreadable sparsify record: {exc}") from None
-        dataset = dataset or run_dir.name
+    stats_path = run_dir / SPARSIFY_STATS_FILE
+    try:  # the input's stem, as sparsify recorded it
+        dataset = json.loads(stats_path.read_text()).get("dataset") if stats_path.exists() else None
+    except (AttributeError, ValueError) as exc:  # not UTF-8, not JSON, not an object
+        raise PipelineFileError(f"{stats_path}: unreadable sparsify record: {exc}") from None
 
     basis = build_dft_basis(n)
     dictionary = build_dictionary(basis, mask)
@@ -193,7 +189,7 @@ def run_recover(run_dir, algorithm, config, jobs, dataset=None, blas_threads=Non
     save_cube(HsiCube(data=spectra), run_dir / f"recovered_{tag}.hsc")
     _write_pixel_log(run_dir / f"pixels_{tag}.csv", stats, measurements.shape[1])
     meta = {
-        "dataset": dataset,
+        "dataset": dataset or run_dir.name,
         "algorithm": algorithm,
         "param_label": param_label(algorithm, config),
         "tag": tag,
@@ -215,15 +211,17 @@ def run_recover(run_dir, algorithm, config, jobs, dataset=None, blas_threads=Non
         f"[recover] {tag}: {stats.n_converged}/{stats.n_pixels} converged, "
         f"{stats.total_iterations} iterations, {stats.n_failed} failed"
     )
-    return stats, tag
+    return stats
 
 
-def run_report(run_dir, out_path=None, dataset=None, peak="abs-max"):
+def run_report(run_dir, out_path=None, peak="abs-max", tags=None):
+    """Report the run records of the given tags, or by default every one in run_dir."""
     run_dir = Path(run_dir)
     out_path = out_path or run_dir / REPORT_FILE
     sparsified = load_cube(run_dir / SPARSIFIED_FILE)
     rows = []
-    for meta_path in sorted(run_dir.glob("run_*.json")):
+    paths = [run_dir / f"run_{tag}.json" for tag in tags] if tags else sorted(run_dir.glob("run_*.json"))
+    for meta_path in paths:
         try:
             meta = json.loads(meta_path.read_text())
             n_converged = meta["n_converged"]
@@ -239,7 +237,7 @@ def run_report(run_dir, out_path=None, dataset=None, peak="abs-max"):
             raise PipelineFileError(f"{meta_path}: unreadable recovery record: {exc}") from None
         try:
             rows.append(SummaryRow(
-                dataset=dataset or meta["dataset"],
+                dataset=meta["dataset"],
                 algorithm=meta["algorithm"],
                 param_label=meta["param_label"],
                 psnr_db=quality,
@@ -317,9 +315,7 @@ OPTIONS = {
         Option("--input", "input cube file or run directory"),
         Option("--out", "output directory or file"),
         Option("--config", "INI config file ([run] plus per-algorithm sections)"),
-        Option("--dataset", "dataset name used in report rows"),
         Option("--psnr-peak", "peak convention for PSNR", choices=PEAK_CONVENTIONS, param="peak"),
-        Option("--format", "input cube format", choices=("auto", "native", "envi"), param="kind"),
         Option("--T", "sparsification factor", float, param="factor"),
         Option("--ratio", "fraction of bands to keep", float),
         Option("--seed", "mask seed", int),
@@ -339,10 +335,12 @@ OPTIONS = {
     )
 }
 
-SOLVER_OPTIONS = ["algo", *(key for key, option in OPTIONS.items() if option.solver), "jobs"]
+SOLVER_KEYS = [key for key, option in OPTIONS.items() if option.solver]
+SOLVER_OPTIONS = ["algo", *SOLVER_KEYS, "jobs"]
 
 
 def _load_config_file(path):
+    """{section: {key: raw value}}; [run] takes any option but config, [<algo>] solver keys."""
     if path is None:
         return {}
     parser = configparser.ConfigParser()
@@ -351,7 +349,16 @@ def _load_config_file(path):
             parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return {section: dict(parser[section]) for section in parser.sections()}
+    sections = {section: dict(parser[section]) for section in parser.sections()}
+    if parser.defaults():
+        sections[parser.default_section] = parser.defaults()
+    for section, values in sections.items():
+        if section != "run" and section not in SOLVERS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        allowed = OPTIONS.keys() - {"config"} if section == "run" else set(SOLVER_KEYS)
+        if unknown := sorted(set(values) - allowed):
+            raise ConfigError(f"{path}: [{section}] takes no key {', '.join(unknown)}")
+    return sections
 
 
 class Settings:
@@ -396,11 +403,9 @@ class Settings:
 
 def _resolve_jobs(settings):
     jobs = settings.get("jobs")
-    if jobs is None:
-        return 1
-    if jobs < 0:
+    if jobs is not None and jobs < 0:
         raise ConfigError("jobs must be >= 0")
-    return jobs or None  # 0 means auto-detect
+    return 1 if jobs is None else jobs  # recover_cube gives 0 one worker per CPU
 
 
 def _solver_configs(settings, algo):
@@ -413,8 +418,7 @@ def _solver_configs(settings, algo):
     else:
         settings.require("kappa", algo)
         swept, others = "kappa", ("lambda",)
-    keys = [key for key, option in OPTIONS.items() if option.solver and key not in others]
-    params = settings.given(keys, algo)
+    params = settings.given([key for key in SOLVER_KEYS if key not in others], algo)
     if "time_limit" in params and params["time_limit"] <= 0:
         params["time_limit"] = None  # a budget <= 0 disables it
     if params.get("max_iter") == 0:
@@ -433,7 +437,7 @@ def _sparsify(settings, check=None):
     return run_sparsify(
         settings.require("input"),
         settings.require("out"),
-        **settings.given(["format", "t", "psnr_peak", "dataset"]),
+        **settings.given(["t", "psnr_peak"]),
         check=check,
     )
 
@@ -457,16 +461,14 @@ def cmd_recover(args):
     configs = _solver_configs(settings, algos[0])
     if len(configs) != 1:
         raise ConfigError("recover takes a single parameter value; use bench to sweep")
-    stats, _ = run_recover(settings.require("input"), algos[0], configs[0], _resolve_jobs(settings),
-                           settings.get("dataset"), args.blas_threads)
+    stats = run_recover(settings.require("input"), algos[0], configs[0], _resolve_jobs(settings),
+                        args.blas_threads)
     return EXIT_PARTIAL if stats.n_failed else EXIT_OK
 
 
 def cmd_report(args):
     settings = Settings(args)
-    run_report(
-        settings.require("input"), settings.get("out"), **settings.given(["dataset", "psnr_peak"])
-    )
+    run_report(settings.require("input"), settings.get("out"), **settings.given(["psnr_peak"]))
     return EXIT_OK
 
 
@@ -481,9 +483,8 @@ def cmd_bench(args):
         raise ConfigError(f"sweep points share the run tag {', '.join(repeated)}: one would overwrite another")
     jobs = _resolve_jobs(settings)
     bands = settings.get("export_bands")
-    dataset = settings.get("dataset")
     compress = {"ratio": DEFAULT_RATIO, "seed": DEFAULT_SEED, **settings.given(["ratio", "seed"])}
-    report = settings.given(["dataset", "psnr_peak"])
+    peak = settings.given(["psnr_peak"])
 
     def check_bands(n):
         build_selection_mask(n, **compress)  # raises unless the ratio keeps a band
@@ -494,9 +495,8 @@ def cmd_bench(args):
     run_compress(out_dir, **compress)
     failed = 0
     for algo, config in runs:
-        stats, _ = run_recover(out_dir, algo, config, jobs, dataset, args.blas_threads)
-        failed += stats.n_failed
-    run_report(out_dir, **report)
+        failed += run_recover(out_dir, algo, config, jobs, args.blas_threads).n_failed
+    run_report(out_dir, tags=tags, **peak)  # this call's runs, not a reused directory's older ones
     if bands is not None:
         # one cube in memory at a time
         sources = {"original": settings.require("input"), "sparsified": out_dir / SPARSIFIED_FILE}
@@ -512,16 +512,16 @@ def cmd_bench(args):
 
 COMMANDS = {  # name: (function, help, the options it takes)
     "sparsify": (cmd_sparsify, "zero weak inverse-DFT coefficients of every pixel",
-                 ["input", "out", "config", "dataset", "psnr_peak", "format", "t"]),
+                 ["input", "out", "config", "psnr_peak", "t"]),
     "compress": (cmd_compress, "subsample the sparsified cube into measurements",
                  ["input", "config", "ratio", "seed"]),
     "recover": (cmd_recover, "solve every pixel from the stored measurements",
-                ["input", "config", "dataset", *SOLVER_OPTIONS]),
+                ["input", "config", *SOLVER_OPTIONS]),
     "bench": (cmd_bench, "full pipeline over every algorithm/parameter pair",
-              ["input", "out", "config", "dataset", "psnr_peak", "format", "t", "ratio", "seed",
-               "export_bands", *SOLVER_OPTIONS]),
+              ["input", "out", "config", "psnr_peak", "t", "ratio", "seed", "export_bands",
+               *SOLVER_OPTIONS]),
     "report": (cmd_report, "aggregate recovery records into a CSV report",
-               ["input", "out", "config", "dataset", "psnr_peak"]),
+               ["input", "out", "config", "psnr_peak"]),
 }
 
 

@@ -101,19 +101,13 @@ def save_cube(cube, path):
     write_native(path, NATIVE_MAGIC, cube.data.shape, np.ascontiguousarray(cube.data, dtype="<f8"))
 
 
-def load_cube(path, kind=None):
-    """Read a cube. kind is "native", "envi" or None, which sniffs the kind:
-    native magic bytes first, otherwise a sibling ENVI header.  Native
-    files with f32 samples are told from f64 ones by their payload size."""
-    path = Path(path)
-    if kind is None:
-        with open(path, "rb") as fh:
-            kind = "native" if fh.read(4) == NATIVE_MAGIC else "envi"
-    if kind == "native":
-        return _load_native(path)
-    if kind == "envi":
-        return _load_envi(path)
-    raise ValueError(f"unknown cube format kind {kind!r}")
+def load_cube(path):
+    """Read a cube: a native file if it starts with the native magic bytes,
+    otherwise an ENVI data file through its sibling header.  Native files
+    with f32 samples are told from f64 ones by their payload size."""
+    with open(path, "rb") as fh:
+        native = fh.read(len(NATIVE_MAGIC)) == NATIVE_MAGIC
+    return _load_native(path) if native else _load_envi(path)
 
 
 def _load_native(path):

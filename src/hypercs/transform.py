@@ -16,22 +16,12 @@ import scipy.linalg
 from .kernels import matvecs
 
 
-@dataclass
-class DftBasis:
-    """Dense unitary DFT matrix of size n."""
-
-    matrix: np.ndarray
-
-    @property
-    def n(self):
-        return int(self.matrix.shape[0])
-
-
 def build_dft_basis(n):
-    """Unitary DFT basis of size n (unitary to machine precision)."""
+    """Dictionary of all n rows of the unitary DFT matrix (unitary to
+    machine precision)."""
     if n < 1:
         raise ValueError("basis size must be >= 1")
-    return DftBasis(matrix=scipy.linalg.dft(n, scale="sqrtn"))
+    return Dictionary(matrix=scipy.linalg.dft(n, scale="sqrtn"))
 
 
 def _apply(matrix, v, what):
@@ -180,8 +170,9 @@ def lipschitz_constant(matrix):
 
 @dataclass
 class Dictionary:
-    """Measurement dictionary A with cached solver state: the basis rows a
-    mask keeps (build_dictionary), or any dense matrix (from_matrix).
+    """Measurement dictionary A with cached solver state: the whole DFT
+    basis (build_dft_basis), the basis rows a mask keeps (build_dictionary),
+    or any dense matrix (from_matrix).
 
     Solver state is built on first use and cached: the Lipschitz constant
     that sets FISTA's step (1 for any row selection of a unitary basis),

@@ -89,22 +89,20 @@ class TestSparsify:
         cube = generate_synthetic_cube(2, 2, 16, 2, seed=1)
         path = write_envi(tmp_path, "scene", cube.data, interleave="bil", dtype="f4")
         run_dir = tmp_path / "run"
-        code = main(
-            ["sparsify", "--input", str(path), "--format", "envi", "--out", str(run_dir)]
-        )
-        assert code == EXIT_OK
+        # no HSC1 magic, so the reader goes through the sibling header
+        assert main(["sparsify", "--input", str(path), "--out", str(run_dir)]) == EXIT_OK
         assert load_cube(run_dir / "sparsified.hsc").bands == 16
 
     def test_native_format_reads_f32_cubes(self, tmp_path):
+        # an f32 native cube reads as the f64 one holding the same samples
         cube = generate_synthetic_cube(2, 2, 16, 2, seed=1)
-        path = tmp_path / "cube32.hsc"
-        write_native_f32(cube, path)
-        for fmt in ("auto", "native"):
-            run_dir = tmp_path / fmt
-            code = main(["sparsify", "--input", str(path), "--format", fmt, "--out", str(run_dir)])
-            assert code == EXIT_OK
-        assert (tmp_path / "auto/sparsified.hsc").read_bytes() == (
-            tmp_path / "native/sparsified.hsc"
+        write_native_f32(cube, tmp_path / "f32.hsc")
+        save_cube(HsiCube(data=cube.data.astype(np.float32)), tmp_path / "f64.hsc")
+        for name in ("f32", "f64"):
+            args = ["--input", str(tmp_path / f"{name}.hsc"), "--out", str(tmp_path / name)]
+            assert main(["sparsify", *args]) == EXIT_OK
+        assert (tmp_path / "f32/sparsified.hsc").read_bytes() == (
+            tmp_path / "f64/sparsified.hsc"
         ).read_bytes()
 
     def test_zero_fraction_counts_every_pixel(self, tmp_path):
@@ -449,6 +447,20 @@ class TestBench:
         for name in ("original", "sparsified", "gomp_kappa2", "gomp_kappa3", "fista_lambda0.1"):
             assert (out / f"falsecolor_{name}.ppm").exists()
 
+    def test_reused_out_reports_only_this_call(self, tmp_path):
+        # the first call's records stay in the directory but are not this call's runs
+        path = tmp_path / "scene.hsc"
+        save_cube(generate_synthetic_cube(4, 3, 24, 8, seed=5), path)
+        out = tmp_path / "bench"
+        base = ["bench", "--input", str(path), "--out", str(out), "--algo", "gomp",
+                "--t-conv", "0", "--max-iter", "400"]
+        assert main(base + ["--kappa", "8", "--T", "0"]) == EXIT_OK
+        assert main(base + ["--kappa", "3", "--T", "1"]) == EXIT_OK
+        assert [row.param_label for row in read_report(out / "report.csv")] == ["κ=3"]
+        # report still aggregates every record in the directory
+        assert main(["report", "--input", str(out), "--out", str(tmp_path / "all.csv")]) == EXIT_OK
+        assert [row.param_label for row in read_report(tmp_path / "all.csv")] == ["κ=3", "κ=8"]
+
     def test_matches_the_single_stage_pipeline(self, cube_file, tmp_path):
         bench_dir = tmp_path / "bench"
         code = main(
@@ -594,7 +606,7 @@ class TestConfigFile:
         "key, flag, value, algo",
         [
             ("lambda", "--lambda", "0.05", ["--algo", "fista"]),
-            ("format", "--format", "envi", ["--algo", "gomp", "--kappa", "2"]),
+            ("t", "--T", "0.3", ["--algo", "gomp", "--kappa", "2"]),
             ("psnr_peak", "--psnr-peak", "range", ["--algo", "gomp", "--kappa", "2"]),
             ("mu", "--mu", "0.3", ["--algo", "biht", "--kappa", "2"]),
             ("g", "--G", "2", ["--algo", "gomp", "--kappa", "3"]),
@@ -613,7 +625,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "lines",
-        ["algo = gomp\npsnr_peak = peak", "algo = gomp\nformat = hdf5", "algo = gomp,newton"],
+        ["algo = gomp\npsnr_peak = peak", "algo = gomp,newton"],
     )
     def test_file_value_outside_the_choices(self, cube_file, tmp_path, lines):
         config = tmp_path / "run.ini"
@@ -648,6 +660,33 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert not list(out.glob("*"))  # refused before any file is written
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[run]\nkapa = 3\n",
+            "[run]\nmax_itr = 5\n",
+            "[run]\nformat = envi\n",
+            "[run]\ndataset = salinas\n",
+            "[fsta]\nlambda = 0.1\n",
+            "[gomp]\nratio = 0.5\n",
+            "[gomp]\njobs = 2\n",
+            "[DEFAULT]\nkappa = 2\n",
+            "[run]\nconfig = other.ini\n",
+        ],
+        ids=["misspelt-key", "misspelt-solver-key", "format", "dataset", "unknown-section",
+             "run-key-in-solver-section", "jobs-in-solver-section", "default-section", "config"],
+    )
+    def test_unknown_key_or_section_writes_nothing(self, cube_file, tmp_path, text):
+        config = tmp_path / "run.ini"
+        config.write_text(text)
+        out = tmp_path / "bench"
+        code = main(
+            ["bench", "--input", str(cube_file), "--out", str(out), "--config", str(config),
+             "--algo", "gomp", "--kappa", "2", "--t-conv", "0", "--max-iter", "400"]
+        )
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
     def test_unreadable_config_file(self, cube_file, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text("kappa = 3\n")  # section header missing
@@ -669,4 +708,4 @@ class TestEntryPoint:
 
     def test_usage_error_exits_2(self):
         assert main([]) == EXIT_CONFIG
-        assert main(["sparsify", "--format", "hdf5"]) == EXIT_CONFIG
+        assert main(["sparsify", "--psnr-peak", "hdf5"]) == EXIT_CONFIG

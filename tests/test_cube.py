@@ -85,7 +85,7 @@ class TestNativeFormat:
         path = tmp_path / "bad.hsc"
         path.write_bytes(b"NOPE" + struct.pack("<III", 1, 1, 1) + b"\0" * 8)
         with pytest.raises(CubeFormatError):
-            load_cube(path, "native")
+            load_cube(path)  # no HSC1 magic and no ENVI header next to it
 
     @pytest.mark.parametrize("size", [10, 12 * 8 + 16], ids=["truncated", "oversized"])
     def test_payload_of_the_wrong_size_rejected(self, tmp_path, size):
@@ -161,7 +161,7 @@ class TestEnviReader:
     def test_header_path_passed_directly_is_rejected(self, tmp_path, data):
         write_envi(tmp_path, "cube", data, header_style="replace")
         with pytest.raises(CubeFormatError):
-            load_cube(tmp_path / "cube.hdr", "envi")
+            load_cube(tmp_path / "cube.hdr")
 
     def test_missing_required_key_rejected(self, tmp_path, data):
         path = write_envi(tmp_path, "cube", data)
