@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 import argparse
 import configparser
 import csv
+import hashlib
 import json
 import math
 import re
@@ -162,6 +163,15 @@ def _write_pixel_log(path, stats, y_dim):
                 )
 
 
+def _sparsify_record(run_dir):
+    """run_dir's sparsify record and its SHA-256, (None, None) where it has none."""
+    path = run_dir / SPARSIFY_STATS_FILE
+    if not path.exists():
+        return None, None
+    record = path.read_bytes()
+    return record, hashlib.sha256(record).hexdigest()
+
+
 def run_recover(run_dir, algorithm, config, jobs, blas_threads=None):
     run_dir = Path(run_dir)
     measurements, n = load_measurements(run_dir / MEASUREMENTS_FILE)
@@ -171,11 +181,11 @@ def run_recover(run_dir, algorithm, config, jobs, blas_threads=None):
         raise PipelineFileError(f"{run_dir / MASK_FILE}: {exc}") from None
     if mask.n != n or mask.m != measurements.shape[2]:
         raise PipelineFileError(f"{run_dir}: mask does not match the measurement file")
-    stats_path = run_dir / SPARSIFY_STATS_FILE
+    record, digest = _sparsify_record(run_dir)
     try:  # the input's stem, as sparsify recorded it
-        dataset = json.loads(stats_path.read_text()).get("dataset") if stats_path.exists() else None
+        dataset = json.loads(record).get("dataset") if record is not None else None
     except (AttributeError, ValueError) as exc:  # not UTF-8, not JSON, not an object
-        raise PipelineFileError(f"{stats_path}: unreadable sparsify record: {exc}") from None
+        raise PipelineFileError(f"{run_dir / SPARSIFY_STATS_FILE}: unreadable sparsify record: {exc}") from None
 
     basis = build_dft_basis(n)
     dictionary = build_dictionary(basis, mask)
@@ -202,6 +212,7 @@ def run_recover(run_dir, algorithm, config, jobs, blas_threads=None):
         "convergence_pct": stats.convergence_pct,
         "recovery_time_s": stats.recovery_time_s,
         "blas_threads": blas_threads,
+        "sparsify_sha256": digest,
         "recovered_file": f"recovered_{tag}.hsc",
         "pixels_file": f"pixels_{tag}.csv",
         "config": asdict(config),
@@ -219,11 +230,15 @@ def run_report(run_dir, out_path=None, peak="abs-max", tags=None):
     run_dir = Path(run_dir)
     out_path = out_path or run_dir / REPORT_FILE
     sparsified = load_cube(run_dir / SPARSIFIED_FILE)
+    _, digest = _sparsify_record(run_dir)
     rows = []
     paths = [run_dir / f"run_{tag}.json" for tag in tags] if tags else sorted(run_dir.glob("run_*.json"))
     for meta_path in paths:
         try:
             meta = json.loads(meta_path.read_text())
+            if meta["sparsify_sha256"] != digest:
+                raise PipelineFileError(f"{meta_path}: recovered from another {SPARSIFY_STATS_FILE} "
+                                        "than the run directory's; recover it again")
             n_converged = meta["n_converged"]
             if n_converged > 0 and meta["total_iterations"] == 0 and n_converged > meta["n_zero_pixels"]:
                 raise PipelineFileError(f"{meta_path}: converged pixels with zero iterations")
@@ -339,8 +354,22 @@ SOLVER_KEYS = [key for key, option in OPTIONS.items() if option.solver]
 SOLVER_OPTIONS = ["algo", *SOLVER_KEYS, "jobs"]
 
 
+def _parse_option(key, raw):
+    """A config-file value parsed and checked as its flag's would be."""
+    option = OPTIONS[key]
+    try:
+        value = option.type(raw)
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from None
+    if option.choices and value not in option.choices:
+        raise ConfigError(f"bad value for {key}: {raw!r} is not one of {option.choices}")
+    return value
+
+
 def _load_config_file(path):
-    """{section: {key: raw value}}; [run] takes any option but config, [<algo>] solver keys."""
+    """{section: {key: parsed value}}; [run] takes any option but config,
+    [<algo>] solver keys.  Every value is parsed when the file is loaded,
+    whether or not the running command reads it."""
     if path is None:
         return {}
     parser = configparser.ConfigParser()
@@ -358,7 +387,8 @@ def _load_config_file(path):
         allowed = OPTIONS.keys() - {"config"} if section == "run" else set(SOLVER_KEYS)
         if unknown := sorted(set(values) - allowed):
             raise ConfigError(f"{path}: [{section}] takes no key {', '.join(unknown)}")
-    return sections
+    return {section: {key: _parse_option(key, raw) for key, raw in values.items()}
+            for section, values in sections.items()}
 
 
 class Settings:
@@ -374,18 +404,11 @@ class Settings:
         value = getattr(self.args, key, None)
         if value is not None:
             return value  # argparse already parsed and checked the flag
-        option = OPTIONS[key]
-        for section in ([algo] if algo and option.solver else []) + ["run"]:
-            raw = self.file.get(section, {}).get(key)
-            if raw is None:
-                continue
-            try:
-                value = option.type(raw)
-            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"bad value for {key}: {exc}") from None
-            if option.choices and value not in option.choices:
-                raise ConfigError(f"bad value for {key}: {raw!r} is not one of {option.choices}")
-            return value
+        sections = [algo] if algo and OPTIONS[key].solver else []
+        for section in sections + ["run"]:
+            value = self.file.get(section, {}).get(key)
+            if value is not None:
+                return value
         return None
 
     def require(self, key, algo=None):

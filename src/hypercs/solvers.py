@@ -32,6 +32,7 @@ import numpy as np
 
 from .kernels import (argmax_k, gram_least_squares, least_squares, matvecs, one_blas_thread, residual_delta,
                       soft_threshold)
+from .transform import half_weights
 
 
 class NumericalFailure(RuntimeError):
@@ -140,11 +141,30 @@ def _real_row_dots(u, v):
     return np.einsum("ij,ij->i", u.view(np.float64), v.view(np.float64))[:, None]
 
 
+def _lasso_form(y, dictionary):
+    """(forward, adjoint, dtype, l1 weights) of a convex block on (k, m)
+    measurement rows.  Its complex (k, w) state s takes A as
+    s.view(dtype) @ forward and A^H r as (r @ adjoint).view(complex128).
+    Real rows hold half spectra (w = n // 2 + 1) and take B^T, B, float64
+    and half_weights, from the dictionary's real form; complex rows hold x
+    (w = n) and take A^T, conj(A), complex128 and weights 1, so that their
+    views and weights change no bit."""
+    if y.dtype == np.float64:
+        b, bt = dictionary.real_form
+        return bt, b, np.float64, half_weights(dictionary.n)
+    return dictionary.matrix.T, dictionary.matrix.conj(), np.complex128, 1.0
+
+
 class _FistaBlock:
-    """FISTA (Beck & Teboulle 2009) on a (k, n) block of pixel rows, which
-    take A as x @ A^T and A^H as r @ conj(A), with the gradient restart of
-    O'Donoghue & Candes (2015, "Adaptive restart for accelerated gradient
-    schemes").
+    """FISTA (Beck & Teboulle 2009) on a (k, w) block of pixel rows, with the
+    gradient restart of O'Donoghue & Candes (2015, "Adaptive restart for
+    accelerated gradient schemes").
+
+    Rows take their products as _lasso_form sets them: on half spectra for
+    real measurements, and on x itself otherwise.  The two iterate alike:
+    from 0, the complex path's iterates stay conjugate-symmetric, the
+    gradient maps to B's, the weighted soft threshold is the l1 prox in v,
+    and real inner products are kept.  The step 1 / L is the full A's.
 
     Each row has its own momentum weight t, a (k, 1) column.  A row restarts
     when its step x_new - x points against its gradient step x_new - z,
@@ -154,11 +174,10 @@ class _FistaBlock:
     """
 
     def __init__(self, y, dictionary, config):
-        self.at = dictionary.matrix.T
-        self.ac = dictionary.matrix.conj()
+        self.fwd, self.adj, self.dtype, weights = _lasso_form(y, dictionary)
         self.inv_l = 1.0 / dictionary.lipschitz
-        self.threshold = config.lam * self.inv_l
-        self.x = np.zeros((len(y), dictionary.n), dtype=np.complex128)
+        self.threshold = config.lam * self.inv_l * weights
+        self.x = np.zeros((len(y), self.adj.shape[1]), dtype=self.dtype).view(np.complex128)
         self.z = self.x
         self.t = np.ones((len(y), 1))
 
@@ -166,7 +185,8 @@ class _FistaBlock:
         """One iteration; returns the residual of the new iterate and the
         rows that halted (none)."""
         # 1. gradient step on the quadratic term at the extrapolated point
-        aux = self.z - self.inv_l * ((self.z @ self.at - y) @ self.ac)
+        gradient = (self.z.view(self.dtype) @ self.fwd - y) @ self.adj
+        aux = self.z - (self.inv_l * gradient).view(np.complex128)
         # 2. proximal shrinkage
         x_new = soft_threshold(aux, self.threshold)
         # 3. gradient restart, then the momentum weight update
@@ -177,7 +197,7 @@ class _FistaBlock:
         # 4. extrapolation
         self.z = x_new + ((t - 1.0) / t_new) * step
         self.x, self.t = x_new, t_new
-        return y - self.x @ self.at, np.zeros(len(y), dtype=bool)
+        return y - self.x.view(self.dtype) @ self.fwd, np.zeros(len(y), dtype=bool)
 
     @property
     def solution(self):
@@ -188,9 +208,10 @@ class _FistaBlock:
 
 
 class _AdmmBlock:
-    """Scaled-dual ADMM on a (k, n) block of pixel rows, each row with its
+    """Scaled-dual ADMM on a (k, w) block of pixel rows, each row with its
     own penalty alpha_j, starting at config.alpha; the penalties are a
-    (k, 1) column.
+    (k, 1) column.  Rows take their products as _lasso_form sets them, as
+    in _FistaBlock; on half spectra the factor is that of B B^T.
 
     The x-update solves (A^H A + alpha_j I) x = A^H y + alpha_j (z - w) by
     Woodbury on the dictionary's eigendecomposition of A A^H, which serves
@@ -204,11 +225,12 @@ class _AdmmBlock:
     """
 
     def __init__(self, y, dictionary, config):
-        self.eigenvalues, q, qa = dictionary.admm_factor()
+        _, adj, self.dtype, weights = _lasso_form(y, dictionary)
+        self.eigenvalues, q, qa = dictionary.admm_factor(self.dtype == np.float64)
         self.qt, self.qat, self.qac = q.T, qa.T, qa.conj()
-        self.b = y @ dictionary.matrix.conj()
-        self.lam = config.lam
-        self.z = np.zeros((len(y), dictionary.n), dtype=np.complex128)
+        self.b = y @ adj
+        self.lam = config.lam * weights
+        self.z = np.zeros(self.b.shape, dtype=self.dtype).view(np.complex128)
         self.w = np.zeros_like(self.z)
         self.penalize(np.full((len(y), 1), config.alpha))
 
@@ -221,15 +243,16 @@ class _AdmmBlock:
         """One iteration; returns the residual of the x iterate, which feeds
         the stop rule, and the rows that halted (none).  The solution is
         the sparse iterate z."""
-        # 1. quadratic solve by Woodbury, in place on u = A^H y + alpha (z - w);
-        #    v = Q^H A x
+        # 1. quadratic solve by Woodbury, in place on u = A^H y + alpha (z - w),
+        #    x's view; v = Q^H A x
         x = self.z - self.w
-        x *= self.alpha
-        x += self.b
-        v = x @ self.qat
+        u = x.view(self.dtype)
+        u *= self.alpha
+        u += self.b
+        v = u @ self.qat
         v *= self.damping
-        x -= v @ self.qac
-        x *= self.inv_alpha
+        u -= v @ self.qac
+        u *= self.inv_alpha
         # 2. shrinkage step, the prox of the l1 term under the scaled dual
         w = x + self.w
         z = soft_threshold(w, self.lam * self.inv_alpha)
@@ -474,10 +497,12 @@ def _solve_block(ys, dictionary, config, block_type):
 
     Returns the (k, n) solutions and the block's RecoveryStats; a row whose
     iterate or delta turned non-finite is recorded as failed, its solution
-    left at zero.  Before each iteration stop_check's rule stops a row when
-    its delta drops below epsilon, else when its time charge reaches the
-    budget, else at the iteration cap; a greedy row whose support outgrew
-    the measurements stops unconverged with its last completed iteration.
+    left at zero.  Real rows are iterated on half spectra (_lasso_form),
+    and a row's is unfolded into its x when it stops.  Before each
+    iteration stop_check's rule stops a row when its delta drops below
+    epsilon, else when its time charge reaches the budget, else at the
+    iteration cap; a greedy row whose support outgrew the measurements
+    stops unconverged with its last completed iteration.
     Stopped rows leave the block.  Each row is charged an equal share of
     the block's set-up and of every iteration it takes part in, so the
     charges of a solve sum to its wall time and a single row is charged its
@@ -487,6 +512,7 @@ def _solve_block(ys, dictionary, config, block_type):
     start = time.perf_counter()
     k = len(ys)
     solution = np.zeros((k, dictionary.n), dtype=np.complex128)
+    unfold = dictionary.unfold if ys.dtype == np.float64 else np.asarray
     stats = RecoveryStats.zeros(k)
     nonzero = ys.any(axis=1)
     stats.converged[~nonzero] = True
@@ -511,7 +537,7 @@ def _solve_block(ys, dictionary, config, block_type):
             stats.elapsed[rows[stopped]] = charge
             solved = stopped & finite
             done = rows[solved]
-            solution[done] = block.solution[solved]
+            solution[done] = unfold(block.solution[solved])
             stats.iterations[done] = iterations - halted[solved]
             stats.converged[done] = converged[solved]
             stats.final_delta[done] = delta[solved]
@@ -617,6 +643,9 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     Every pixel keeps its own stop rule, and its own momentum under fista and penalty under
     admm, so the iteration counts equal those of per-pixel solver calls; greedy coefficients
     are identical and convex ones agree to round-off.
+    When every measurement is real and the dictionary has a real form, fista and admm iterate
+    on half spectra with real products, and return exactly conjugate-symmetric vectors; the
+    iterates are those of the complex path to round-off, which serves every other call.
     """
     if algorithm not in SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -627,9 +656,11 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     if m != dictionary.m:
         raise ValueError("measurement length does not match the dictionary")
     block_type = _BLOCK_TYPES[algorithm]
+    if algorithm in CONVEX_SOLVERS and not meas.imag.any() and dictionary.real_form is not None:
+        meas = np.ascontiguousarray(meas.real)  # blocks of real rows iterate on half spectra
     # a block of no pixels checks the config and builds the dictionary state
     # the solver reads, once, before any worker forks
-    block_type(np.empty((0, m), dtype=np.complex128), dictionary, config)
+    block_type(np.empty((0, m), dtype=meas.dtype), dictionary, config)
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1
 

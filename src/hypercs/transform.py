@@ -168,6 +168,20 @@ def lipschitz_constant(matrix):
     return float(np.linalg.norm(matrix, 2)) ** 2
 
 
+# largest |A[:, n - k] - conj(A[:, k])|, relative to A's largest entry, of
+# a dictionary with a real form; the DFT's rows sit near 1e-16
+SYMMETRY_RTOL = 1e-12
+
+
+def half_weights(n):
+    """The weights c of the half spectrum v = c * x[:n // 2 + 1] of a
+    conjugate-symmetric x: 1 for an entry that is its own mirror (x[0] and,
+    for even n, x[n / 2]), sqrt(2) for one that stands for its mirror too.
+    Then |v| = |x| and sum(c * |v|) = sum(|x|)."""
+    k = np.arange(n // 2 + 1)
+    return np.where(k == -k % n, 1.0, np.sqrt(2.0))
+
+
 @dataclass
 class Dictionary:
     """Measurement dictionary A with cached solver state: the whole DFT
@@ -176,11 +190,20 @@ class Dictionary:
 
     Solver state is built on first use and cached: the Lipschitz constant
     that sets FISTA's step (1 for any row selection of a unitary basis),
-    the Gram matrix A^H A of the greedy solvers' least squares, and the
-    eigendecomposition of A A^H through which ADMM solves its damped system
-    for any penalty.  The constructor takes the matrix alone.
+    the Gram matrix A^H A of the greedy solvers' least squares, the real
+    form B of A on conjugate-symmetric vectors, where A has one, and the
+    eigendecomposition of A A^H (or of B B^T) through which ADMM solves its
+    damped system for any penalty.  The constructor takes the matrix alone.
     recover_cube builds what its solver needs before forking worker
     processes, so every worker receives it with the dictionary.
+
+    The real form.  Where A[:, n - k] = conj(A[:, k]) for every k to
+    round-off, as for any row selection of the DFT, A maps a
+    conjugate-symmetric x (x[n - k] = conj(x[k])) to a real y.  Such an x is
+    held by its half spectrum v = c * x[:h], h = n // 2 + 1 (half_weights),
+    whose float64 view u has x's norm; B is the real m x 2h matrix with
+    A x = B u, zero in the imaginary columns of real entries.  unfold maps
+    v back to x.
     """
 
     matrix: np.ndarray
@@ -212,17 +235,49 @@ class Dictionary:
         return self.matrix.conj().T @ self.matrix
 
     @cached_property
-    def _admm_factor(self):
-        eigenvalues, q = np.linalg.eigh(self.matrix @ self.matrix.conj().T)
-        # A A^H is positive semidefinite; round-off may dip below zero
-        return np.maximum(eigenvalues, 0.0), q, q.conj().T @ self.matrix
+    def real_form(self):
+        """(B, B^T) of the real form, both C-ordered, or None where A has
+        none; checked and built on first use."""
+        a, n = self.matrix, self.n
+        h = n // 2 + 1
+        asymmetry = np.abs(a[:, -np.arange(n) % n] - a.conj()).max(initial=0.0)
+        if asymmetry > SYMMETRY_RTOL * np.abs(a).max(initial=0.0):
+            return None
+        c = half_weights(n)
+        b = np.stack([a[:, :h].real * c, a[:, :h].imag * -c], axis=-1)
+        b[:, c == 1.0, 1] = 0.0  # an entry that is its own mirror is real
+        b = b.reshape(self.m, 2 * h)
+        return b, np.ascontiguousarray(b.T)
 
-    def admm_factor(self):
+    def unfold(self, v):
+        """The conjugate-symmetric vectors x of the half spectra on v's last axis."""
+        n, h = self.n, self.n // 2 + 1
+        x = np.empty(v.shape[:-1] + (n,), dtype=np.complex128)
+        x[..., :h] = v / half_weights(n)
+        x[..., h:] = x[..., n - h : 0 : -1].conj()
+        return x
+
+    @cached_property
+    def _admm_factor(self):
+        return _woodbury_factor(self.matrix)
+
+    @cached_property
+    def _real_admm_factor(self):
+        return _woodbury_factor(self.real_form[0])
+
+    def admm_factor(self, real=False):
         """(eigenvalues, Q, Q^H A) of A A^H = Q diag(eigenvalues) Q^H, built
-        on first use.  By Woodbury, for every alpha > 0,
+        on first use; with real, the same of B B^T and B.  By Woodbury, for
+        every alpha > 0,
             (A^H A + alpha I)^-1 u = (u - (Q^H A)^H D Q^H A u) / alpha,
         with D = diag(1 / (eigenvalues + alpha)), and Q^H A x = D Q^H A u."""
-        return self._admm_factor
+        return self._real_admm_factor if real else self._admm_factor
+
+
+def _woodbury_factor(a):
+    eigenvalues, q = np.linalg.eigh(a @ a.conj().T)
+    # A A^H is positive semidefinite; round-off may dip below zero
+    return np.maximum(eigenvalues, 0.0), q, q.conj().T @ a
 
 
 def build_dictionary(basis, mask):

@@ -447,8 +447,10 @@ class TestBench:
         for name in ("original", "sparsified", "gomp_kappa2", "gomp_kappa3", "fista_lambda0.1"):
             assert (out / f"falsecolor_{name}.ppm").exists()
 
-    def test_reused_out_reports_only_this_call(self, tmp_path):
-        # the first call's records stay in the directory but are not this call's runs
+    @staticmethod
+    def reuse_out(tmp_path):
+        """Two bench calls into one directory, the second with another
+        sparsify factor: the directory."""
         path = tmp_path / "scene.hsc"
         save_cube(generate_synthetic_cube(4, 3, 24, 8, seed=5), path)
         out = tmp_path / "bench"
@@ -456,10 +458,29 @@ class TestBench:
                 "--t-conv", "0", "--max-iter", "400"]
         assert main(base + ["--kappa", "8", "--T", "0"]) == EXIT_OK
         assert main(base + ["--kappa", "3", "--T", "1"]) == EXIT_OK
+        return out
+
+    def test_reused_out_reports_only_this_call(self, tmp_path):
+        # the first call's records stay in the directory but are not this call's runs
+        out = self.reuse_out(tmp_path)
         assert [row.param_label for row in read_report(out / "report.csv")] == ["κ=3"]
-        # report still aggregates every record in the directory
+
+    def test_report_rejects_a_record_of_an_earlier_sparsify(self, tmp_path, capsys):
+        # the kappa-8 record was recovered from the T 0 cube, which the second
+        # call's sparsify replaced; its digest of sparsify_stats.json says so
+        out = self.reuse_out(tmp_path)
+        records = {path.name: json.loads(path.read_text()) for path in out.glob("run_*.json")}
+        assert records["run_gomp_kappa8.json"]["sparsify_sha256"] != records["run_gomp_kappa3.json"]["sparsify_sha256"]
+        capsys.readouterr()
+        assert main(["report", "--input", str(out), "--out", str(tmp_path / "all.csv")]) == EXIT_IO
+        assert "run_gomp_kappa8.json" in capsys.readouterr().err
+        assert not (tmp_path / "all.csv").exists()
+        (out / "run_gomp_kappa8.json").unlink()
         assert main(["report", "--input", str(out), "--out", str(tmp_path / "all.csv")]) == EXIT_OK
-        assert [row.param_label for row in read_report(tmp_path / "all.csv")] == ["κ=3", "κ=8"]
+        with open(tmp_path / "all.csv", encoding="utf-8") as fh:
+            header = fh.readline()
+        assert header == (out / "report.csv").read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        assert [row.param_label for row in read_report(tmp_path / "all.csv")] == ["κ=3"]
 
     def test_matches_the_single_stage_pipeline(self, cube_file, tmp_path):
         bench_dir = tmp_path / "bench"
@@ -684,6 +705,34 @@ class TestConfigFile:
             ["bench", "--input", str(cube_file), "--out", str(out), "--config", str(config),
              "--algo", "gomp", "--kappa", "2", "--t-conv", "0", "--max-iter", "400"]
         )
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["sparsify", "--out", "{out}"], ["compress"], ["report"]],
+        ids=["sparsify", "compress", "report"],
+    )
+    def test_every_file_value_is_checked_whichever_command_runs(self, cube_file, tmp_path, command):
+        # two export bands, which only bench reads, and which no command takes
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nexport_bands = 0,1\n")
+        run_dir = tmp_path / "run"
+        if command[0] != "sparsify":
+            run_stages(cube_file, run_dir, "--algo", "gomp", "--kappa", "2")
+        before = sorted(run_dir.rglob("*"))
+        inputs = str(cube_file) if command[0] == "sparsify" else str(run_dir)
+        argv = [command[0], "--input", inputs, "--config", str(config)]
+        argv += [token.format(out=run_dir) for token in command[1:]]
+        assert main(argv) == EXIT_CONFIG
+        assert sorted(run_dir.rglob("*")) == before
+
+    def test_a_flag_does_not_excuse_a_bad_file_value(self, cube_file, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nseed = three\n")
+        out = tmp_path / "bench"
+        code = main(["bench", "--input", str(cube_file), "--out", str(out), "--config", str(config),
+                     "--seed", "3", "--algo", "gomp", "--kappa", "2", "--t-conv", "0", "--max-iter", "400"])
         assert code == EXIT_CONFIG
         assert not out.exists()
 

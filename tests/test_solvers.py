@@ -25,8 +25,9 @@ from hypercs import (
     recover_cube,
     stop_check,
 )
-from hypercs.kernels import argmax_k, least_squares, one_blas_thread
-from hypercs.solvers import REFIT_ENTRIES, _AdmmBlock, _CosampBlock, _FistaBlock, _GompBlock, _prune
+from hypercs.kernels import argmax_k, least_squares, one_blas_thread, soft_threshold
+from hypercs.solvers import (ADMM_MU, ADMM_TAU, REFIT_ENTRIES, _AdmmBlock, _CosampBlock, _FistaBlock, _GompBlock, _prune,
+                             _real_row_dots, _solve_block)
 
 from helpers import desk_scene, partial_fourier, planted_instance
 
@@ -583,6 +584,139 @@ class TestRecoverCube:
             recover_cube(meas[:, :, :5], d, SolverConfig(), "fista")
         with pytest.raises(ValueError):
             recover_cube(meas[0], d, SolverConfig(), "fista")
+
+
+class _ComplexFista(_FistaBlock):
+    """FISTA's step written for complex rows alone: the reference that the
+    general path of _FistaBlock.step matches bit for bit."""
+
+    def step(self, y, residual):
+        aux = self.z - self.inv_l * ((self.z @ self.fwd - y) @ self.adj)
+        x_new = soft_threshold(aux, self.threshold)
+        step = x_new - self.x
+        restart = _real_row_dots(self.z - x_new, step) > 0
+        t = np.where(restart, 1.0, self.t)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        self.z = x_new + ((t - 1.0) / t_new) * step
+        self.x, self.t = x_new, t_new
+        return y - self.x @ self.fwd, np.zeros(len(y), dtype=bool)
+
+
+class _ComplexAdmm(_AdmmBlock):
+    """ADMM's step written for complex rows alone: the reference that the
+    general path of _AdmmBlock.step matches bit for bit."""
+
+    def step(self, y, residual):
+        x = self.z - self.w
+        x *= self.alpha
+        x += self.b
+        v = x @ self.qat
+        v *= self.damping
+        x -= v @ self.qac
+        x *= self.inv_alpha
+        w = x + self.w
+        z = soft_threshold(w, self.lam * self.inv_alpha)
+        w -= z
+        r, s = x - z, z - self.z
+        primal = _real_row_dots(r, r)
+        dual = self.alpha**2 * _real_row_dots(s, s)
+        self.z, self.w = z, w
+        up, down = primal > ADMM_MU**2 * dual, dual > ADMM_MU**2 * primal
+        if up.any() or down.any():
+            scale = np.where(up, ADMM_TAU, np.where(down, 1.0 / ADMM_TAU, 1.0))
+            self.w *= 1.0 / scale
+            self.penalize(self.alpha * scale)
+        return y - v @ self.qt, np.zeros(len(y), dtype=bool)
+
+
+BLOCK_TYPES = {"fista": _FistaBlock, "admm": _AdmmBlock}
+COMPLEX_STEPS = {"fista": _ComplexFista, "admm": _ComplexAdmm}
+
+
+class TestHalfSpectrum:
+    """fista and admm on real measurements of a DFT row selection iterate on
+    half spectra; every other call keeps the complex path."""
+
+    @staticmethod
+    def complex_path(meas, d, cfg, block_type):
+        """The complex path's results: the pixels as one block of complex rows."""
+        return _solve_block(meas.reshape(-1, meas.shape[-1]).astype(complex), d, cfg, block_type)
+
+    @pytest.mark.parametrize("name", CONVEX_SOLVERS)
+    @pytest.mark.parametrize(
+        "scene, lam",
+        [((8, 8, 64, 4, seed, 0.01), lam) for seed in (1, 2, 3) for lam in (0.01, 0.1)]
+        + [((8, 8, 63, 4, 1, 0.01), 0.01)],
+        ids=[f"desk-convex-seed{seed}-lam{lam}" for seed in (1, 2, 3) for lam in (0.01, 0.1)]
+        + ["63-bands"],
+    )
+    def test_pixels_take_the_iterations_of_the_complex_path(self, scene, lam, name):
+        d, meas = desk_scene(*scene)
+        assert not meas.imag.any() and d.real_form is not None
+        cfg = SolverConfig(lam=lam, time_limit=None, max_iter=20_000)
+        cube, stats = recover_cube(meas, d, cfg, name)
+        x, expected = self.complex_path(meas, d, cfg, BLOCK_TYPES[name])
+        assert stats.iterations.tolist() == expected.iterations.tolist()
+        assert stats.converged.tolist() == expected.converged.tolist()
+        cube = cube.reshape(x.shape)
+        error = np.linalg.norm(cube - x, axis=1)
+        assert (error <= 1e-12 * np.linalg.norm(x, axis=1)).all()
+        # exactly conjugate-symmetric, where the complex path is so to round-off
+        n = d.n
+        assert np.array_equal(cube[:, -np.arange(n) % n], cube.conj())
+        assert not np.array_equal(x[:, -np.arange(n) % n], x.conj())
+
+    @pytest.mark.parametrize("name", CONVEX_SOLVERS)
+    def test_complex_rows_keep_the_complex_step_bit_for_bit(self, name):
+        # one complex pixel sends the whole call down the complex path
+        d, meas = desk_scene(8, 8, 64, 4, 1, 0.01)
+        meas = meas.copy()
+        meas[3, 4, 2] += 1e-3j
+        cfg = SolverConfig(lam=0.01, time_limit=None, max_iter=20_000)
+        cube, stats = recover_cube(meas, d, cfg, name)
+        x, expected = self.complex_path(meas, d, cfg, COMPLEX_STEPS[name])
+        assert cube.reshape(x.shape).tobytes() == x.tobytes()
+        assert stats.iterations.tolist() == expected.iterations.tolist()
+
+    @pytest.mark.parametrize("name", CONVEX_SOLVERS)
+    @pytest.mark.parametrize("kind", ["identity", "gaussian"])
+    def test_other_dictionaries_keep_the_complex_path(self, name, kind):
+        rng = np.random.default_rng(7)
+        matrix = np.eye(8) if kind == "identity" else rng.standard_normal((5, 8))
+        d = Dictionary.from_matrix(matrix)
+        assert d.real_form is None
+        meas = rng.standard_normal((2, 3, d.m))  # real measurements
+        cfg = SolverConfig(lam=0.05, time_limit=None, max_iter=5000)
+        cube, _ = recover_cube(meas, d, cfg, name)
+        x, _ = self.complex_path(meas, d, cfg, COMPLEX_STEPS[name])
+        assert cube.reshape(x.shape).tobytes() == x.tobytes()
+
+    def test_real_form_and_its_factor_are_built_before_the_workers_fork(self, monkeypatch):
+        d, meas = desk_scene(4, 4, 64, 4, 1, 0.01)
+        parent, eigh, calls = os.getpid(), np.linalg.eigh, []
+        real_form = Dictionary.real_form.func
+
+        def parent_eigh(matrix):
+            assert os.getpid() == parent, "a pool worker decomposed B B^T"
+            calls.append((matrix.dtype, matrix.shape))
+            return eigh(matrix)
+
+        def parent_real_form(self):
+            assert os.getpid() == parent, "a pool worker built the real form"
+            calls.append("real_form")
+            return real_form(self)
+
+        built = functools.cached_property(parent_real_form)
+        built.__set_name__(Dictionary, "real_form")
+        monkeypatch.setattr(Dictionary, "real_form", built)
+        monkeypatch.setattr(np.linalg, "eigh", parent_eigh)
+        cfg = SolverConfig(lam=0.01, time_limit=None, max_iter=20_000)
+        serial, _ = self.complex_path(meas, d, cfg, _AdmmBlock)
+        for name in CONVEX_SOLVERS:
+            pooled, stats = recover_cube(meas, d, cfg, name, jobs=2)
+            assert stats.n_converged == 16
+        assert calls == [(np.complex128, (26, 26)), "real_form", (np.float64, (26, 26))]
+        np.testing.assert_allclose(pooled.reshape(serial.shape), serial, rtol=0, atol=1e-12)
 
 
 def lone_gram_solve(b, gram, y):

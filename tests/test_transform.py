@@ -18,6 +18,7 @@ from hypercs import (
     sparsify,
     to_sparse_domain,
 )
+from hypercs.transform import half_weights
 
 from helpers import partial_fourier
 
@@ -359,3 +360,71 @@ class TestDictionary:
         assert copy.lipschitz == lipschitz
         for part, original in zip(copy.admm_factor(), factor):
             assert part.tobytes() == original.tobytes()
+
+
+def symmetric_vectors(n, k, seed):
+    """(k, n) random conjugate-symmetric vectors: x[n - j] = conj(x[j])."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((k, n))  # a real spectrum's inverse DFT is one
+    return to_sparse_domain(f, build_dft_basis(n))
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64])
+    def test_half_spectrum_keeps_the_products_and_the_norms(self, n):
+        # A x = B u, |u| = |x| and sum(c |v|) = sum(|x|) for the half spectrum v of x
+        d = partial_fourier(n, max(1, round(0.4 * n)), 1)
+        b, bt = d.real_form
+        h = n // 2 + 1
+        assert b.shape == (d.m, 2 * h) and b.flags.c_contiguous and bt.flags.c_contiguous
+        np.testing.assert_array_equal(bt, b.T)
+        x = symmetric_vectors(n, 5, n)
+        v = x[:, :h] * half_weights(n)
+        v[:, 0] = v[:, 0].real  # round-off of the DFT
+        if n % 2 == 0:
+            v[:, -1] = v[:, -1].real
+        u = v.view(np.float64)
+        np.testing.assert_allclose(u @ bt, (x @ d.matrix.T).real, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(u, axis=1), np.linalg.norm(x, axis=1), rtol=1e-14)
+        np.testing.assert_allclose(np.abs(v) @ half_weights(n), np.abs(x).sum(axis=1), rtol=1e-14)
+        np.testing.assert_allclose(d.unfold(v), x, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_unfold_is_exactly_conjugate_symmetric(self, n):
+        rng = np.random.default_rng(n)
+        d = build_dft_basis(n)
+        h = n // 2 + 1
+        v = rng.standard_normal((3, h)) + 1j * rng.standard_normal((3, h))
+        v[:, 0] = v[:, 0].real
+        if n % 2 == 0:
+            v[:, -1] = v[:, -1].real
+        x = d.unfold(v)
+        np.testing.assert_array_equal(x[:, -np.arange(n) % n], x.conj())
+        np.testing.assert_allclose(x[:, :h] * half_weights(n), v, rtol=1e-15)
+
+    def test_imaginary_columns_of_real_entries_are_zero(self):
+        b, _ = partial_fourier(8, 4, 2).real_form
+        assert not b[:, 1].any() and not b[:, 9].any()
+        b, _ = partial_fourier(7, 3, 2).real_form
+        assert not b[:, 1].any() and b[:, 7].any()
+
+    def test_only_a_conjugate_symmetric_dictionary_has_one(self):
+        rng = np.random.default_rng(4)
+        assert Dictionary.from_matrix(np.eye(3)).real_form is None
+        assert Dictionary.from_matrix(rng.standard_normal((4, 8))).real_form is None
+        a = partial_fourier(16, 6, 3).matrix.copy()
+        assert Dictionary.from_matrix(a).real_form is not None
+        a[2, 5] += 1e-9  # beyond round-off
+        assert Dictionary.from_matrix(a).real_form is None
+
+    def test_built_once_with_its_factor(self):
+        d = partial_fourier(12, 5, 1)
+        assert "real_form" not in vars(d) and "_real_admm_factor" not in vars(d)
+        form = d.real_form
+        assert d.real_form is form
+        factor = d.admm_factor(real=True)
+        assert d.admm_factor(real=True) is factor and "_admm_factor" not in vars(d)
+        eigenvalues, q, qb = factor
+        assert q.dtype == qb.dtype == np.float64
+        np.testing.assert_allclose(q @ np.diag(eigenvalues) @ q.T, form[0] @ form[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(qb, q.T @ form[0], rtol=0, atol=1e-12)
