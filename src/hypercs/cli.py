@@ -72,18 +72,17 @@ class PipelineFileError(Exception):
     """A pipeline artifact is missing pieces or does not parse."""
 
 
-def save_measurements(path, measurements, n):
-    """Per-pixel measurement file in the native layout: magic HSM1, x/y/m/n
-    dims, complex128 payload."""
-    meas = np.ascontiguousarray(measurements, dtype="<c16")
-    x, y, m = meas.shape
-    write_native(path, MEAS_MAGIC, (x, y, m, n), meas)
+def save_measurements(path, measurements):
+    """Per-pixel measurement file in the native layout: magic HSM1, x/y/m
+    dims, float64 payload.  Complex measurements raise TypeError: their
+    imaginary parts have no place in the file."""
+    meas = np.asarray(measurements).astype("<f8", order="C", casting="same_kind", copy=False)
+    write_native(path, MEAS_MAGIC, meas)
 
 
 def load_measurements(path):
-    """(x, y, m) complex128 measurements and n, the band count."""
-    (x, y, m, n), meas = read_native(path, MEAS_MAGIC, 4, ("<c16",), PipelineFileError)
-    return meas.reshape(x, y, m), n
+    """(x, y, m) float64 measurements; n, the band count, is the mask's."""
+    return read_native(path, MEAS_MAGIC, ("<f8",), PipelineFileError)
 
 
 # ---------------------------------------------------------------- stages
@@ -128,7 +127,7 @@ def run_compress(out_dir, ratio=DEFAULT_RATIO, seed=DEFAULT_SEED):
     mask = build_selection_mask(cube.bands, ratio, seed)
     measurements = measure(cube.data, mask)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_measurements(out_dir / MEASUREMENTS_FILE, measurements, cube.bands)
+    save_measurements(out_dir / MEASUREMENTS_FILE, measurements)
     save_mask(mask, out_dir / MASK_FILE)
     print(f"[compress] kept {mask.m}/{cube.bands} bands per pixel (seed {seed})")
     return mask
@@ -174,12 +173,12 @@ def _sparsify_record(run_dir):
 
 def run_recover(run_dir, algorithm, config, jobs, blas_threads=None):
     run_dir = Path(run_dir)
-    measurements, n = load_measurements(run_dir / MEASUREMENTS_FILE)
+    measurements = load_measurements(run_dir / MEASUREMENTS_FILE)
     try:
         mask = load_mask(run_dir / MASK_FILE)
     except ValueError as exc:  # UnicodeDecodeError included
         raise PipelineFileError(f"{run_dir / MASK_FILE}: {exc}") from None
-    if mask.n != n or mask.m != measurements.shape[2]:
+    if mask.m != measurements.shape[2]:
         raise PipelineFileError(f"{run_dir}: mask does not match the measurement file")
     record, digest = _sparsify_record(run_dir)
     try:  # the input's stem, as sparsify recorded it
@@ -187,7 +186,7 @@ def run_recover(run_dir, algorithm, config, jobs, blas_threads=None):
     except (AttributeError, ValueError) as exc:  # not UTF-8, not JSON, not an object
         raise PipelineFileError(f"{run_dir / SPARSIFY_STATS_FILE}: unreadable sparsify record: {exc}") from None
 
-    basis = build_dft_basis(n)
+    basis = build_dft_basis(mask.n)
     dictionary = build_dictionary(basis, mask)
     sparse_cube, stats = recover_cube(measurements, dictionary, config, algorithm, jobs)
     spectra = np.empty(sparse_cube.shape)

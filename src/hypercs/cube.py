@@ -2,9 +2,9 @@
 
 Cubes are stored as float64 arrays of shape (x, y, bands); the flat sample
 order is therefore x-major with the band index fastest.  The native binary
-layout is a four-byte magic, the dimensions as little-endian uint32, then
-the little-endian samples in C order: b"HSC1", (x, y, bands) and float64
-samples for a cube (float32 files are read too).  The pipeline's
+layout is a four-byte magic, three dimensions as little-endian uint32,
+then the little-endian samples in C order: b"HSC1", (x, y, bands) and
+float64 samples for a cube (float32 files are read too).  The pipeline's
 measurement files share it (see write_native).  ENVI cubes (BSQ/BIL/BIP,
 data types 4, 5 and 12) are read-only.
 """
@@ -69,36 +69,36 @@ def extract_pixel(cube, x, y):
     return cube.data[x, y, :].copy()
 
 
-def write_native(path, magic, dims, payload):
-    """Write a file in the native layout: magic, dims, then the C-order payload."""
+def write_native(path, magic, payload):
+    """Write a 3-D array in the native layout: magic, its dims, then its C-order samples."""
     with open(path, "wb") as fh:
-        fh.write(magic + struct.pack(f"<{len(dims)}I", *dims))
+        fh.write(magic + struct.pack("<3I", *payload.shape))
         payload.tofile(fh)
 
 
-def read_native(path, magic, ndims, dtypes, error):
-    """(dims, flat payload) of a native file with ndims dimensions, each
-    >= 1, whose payload is exactly dims[0] * dims[1] * dims[2] samples of
-    one of dtypes, tried in order; anything else raises error."""
-    offset = len(magic) + 4 * ndims
+def read_native(path, magic, dtypes, error):
+    """The 3-D array of a native file whose three dims are each >= 1 and
+    whose payload is exactly their product in samples of one of dtypes,
+    tried in order; anything else raises error."""
+    offset = len(magic) + 12
     with open(path, "rb") as fh:
         head = fh.read(offset)
         if len(head) < offset or head[: len(magic)] != magic:
             raise error(f"{path}: not a {magic.decode()} file")
-        dims = struct.unpack_from(f"<{ndims}I", head, len(magic))
+        dims = struct.unpack_from("<3I", head, len(magic))
         if min(dims) < 1:
             raise error(f"{path}: degenerate dimensions {dims}")
         count = dims[0] * dims[1] * dims[2]
         size = os.fstat(fh.fileno()).st_size - offset
         for dtype in map(np.dtype, dtypes):
             if size == count * dtype.itemsize:
-                return dims, np.fromfile(fh, dtype=dtype, count=count)
+                return np.fromfile(fh, dtype=dtype, count=count).reshape(dims)
     raise error(f"{path}: payload holds {size} bytes, expected {count} samples")
 
 
 def save_cube(cube, path):
     """Write a cube in the native binary layout with float64 samples."""
-    write_native(path, NATIVE_MAGIC, cube.data.shape, np.ascontiguousarray(cube.data, dtype="<f8"))
+    write_native(path, NATIVE_MAGIC, np.ascontiguousarray(cube.data, dtype="<f8"))
 
 
 def load_cube(path):
@@ -112,9 +112,9 @@ def load_cube(path):
 
 def _load_native(path):
     """The samples are read straight into the cube's array: f8 needs no copy."""
-    dims, data = read_native(path, NATIVE_MAGIC, 3, ("<f8", "<f4"), CubeFormatError)
+    data = read_native(path, NATIVE_MAGIC, ("<f8", "<f4"), CubeFormatError)
     try:
-        return HsiCube(data=data.reshape(dims))
+        return HsiCube(data=data)
     except ValueError as exc:
         raise CubeFormatError(f"{path}: {exc}") from None
 

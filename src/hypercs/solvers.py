@@ -142,17 +142,17 @@ def _real_row_dots(u, v):
 
 
 def _lasso_form(y, dictionary):
-    """(forward, adjoint, dtype, l1 weights) of a convex block on (k, m)
-    measurement rows.  Its complex (k, w) state s takes A as
+    """(forward, adjoint, dtype, l1 weights, unfold) of a convex block on
+    (k, m) measurement rows.  Its complex (k, w) state s takes A as
     s.view(dtype) @ forward and A^H r as (r @ adjoint).view(complex128).
-    Real rows hold half spectra (w = n // 2 + 1) and take B^T, B, float64
-    and half_weights, from the dictionary's real form; complex rows hold x
-    (w = n) and take A^T, conj(A), complex128 and weights 1, so that their
-    views and weights change no bit."""
-    if y.dtype == np.float64:
+    float64 rows of a dictionary with a real form hold half spectra
+    (w = n // 2 + 1), take B^T, B, float64 and half_weights, and unfold by
+    Dictionary.unfold; other rows hold x (w = n) and take A^T, conj(A),
+    complex128, weights 1 and np.asarray, which change no bit."""
+    if y.dtype == np.float64 and dictionary.real_form is not None:
         b, bt = dictionary.real_form
-        return bt, b, np.float64, half_weights(dictionary.n)
-    return dictionary.matrix.T, dictionary.matrix.conj(), np.complex128, 1.0
+        return bt, b, np.float64, half_weights(dictionary.n), dictionary.unfold
+    return dictionary.matrix.T, dictionary.matrix.conj(), np.complex128, 1.0, np.asarray
 
 
 class _FistaBlock:
@@ -174,7 +174,7 @@ class _FistaBlock:
     """
 
     def __init__(self, y, dictionary, config):
-        self.fwd, self.adj, self.dtype, weights = _lasso_form(y, dictionary)
+        self.fwd, self.adj, self.dtype, weights, self.unfold = _lasso_form(y, dictionary)
         self.inv_l = 1.0 / dictionary.lipschitz
         self.threshold = config.lam * self.inv_l * weights
         self.x = np.zeros((len(y), self.adj.shape[1]), dtype=self.dtype).view(np.complex128)
@@ -225,7 +225,7 @@ class _AdmmBlock:
     """
 
     def __init__(self, y, dictionary, config):
-        _, adj, self.dtype, weights = _lasso_form(y, dictionary)
+        _, adj, self.dtype, weights, self.unfold = _lasso_form(y, dictionary)
         self.eigenvalues, q, qa = dictionary.admm_factor(self.dtype == np.float64)
         self.qt, self.qat, self.qac = q.T, qa.T, qa.conj()
         self.b = y @ adj
@@ -308,6 +308,8 @@ class _GreedyBlock:
     Subclasses pick the candidates and may override the fit.
     """
 
+    unfold = staticmethod(np.asarray)
+
     def __init__(self, y, dictionary, config):
         self.check(config, dictionary.m, dictionary.n)
         self.a = dictionary.matrix
@@ -330,7 +332,7 @@ class _GreedyBlock:
         fits = np.count_nonzero(candidates, axis=1) <= self.a.shape[0]
         y = y[fits]
         self.x[fits], self.support[fits] = self.fit(candidates[fits], y)
-        residual = residual.copy()
+        residual = residual.astype(np.complex128)  # the first is y, float64 for real rows
         residual[fits] = y - matvecs(self.a, self.x[fits])
         return residual, ~fits
 
@@ -497,8 +499,8 @@ def _solve_block(ys, dictionary, config, block_type):
 
     Returns the (k, n) solutions and the block's RecoveryStats; a row whose
     iterate or delta turned non-finite is recorded as failed, its solution
-    left at zero.  Real rows are iterated on half spectra (_lasso_form),
-    and a row's is unfolded into its x when it stops.  Before each
+    left at zero.  A row is unfolded into its x by the block's unfold when
+    it stops (_lasso_form).  Before each
     iteration stop_check's rule stops a row when its delta drops below
     epsilon, else when its time charge reaches the budget, else at the
     iteration cap; a greedy row whose support outgrew the measurements
@@ -512,7 +514,6 @@ def _solve_block(ys, dictionary, config, block_type):
     start = time.perf_counter()
     k = len(ys)
     solution = np.zeros((k, dictionary.n), dtype=np.complex128)
-    unfold = dictionary.unfold if ys.dtype == np.float64 else np.asarray
     stats = RecoveryStats.zeros(k)
     nonzero = ys.any(axis=1)
     stats.converged[~nonzero] = True
@@ -537,7 +538,7 @@ def _solve_block(ys, dictionary, config, block_type):
             stats.elapsed[rows[stopped]] = charge
             solved = stopped & finite
             done = rows[solved]
-            solution[done] = unfold(block.solution[solved])
+            solution[done] = block.unfold(block.solution[solved])
             stats.iterations[done] = iterations - halted[solved]
             stats.converged[done] = converged[solved]
             stats.final_delta[done] = delta[solved]
@@ -643,21 +644,21 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     Every pixel keeps its own stop rule, and its own momentum under fista and penalty under
     admm, so the iteration counts equal those of per-pixel solver calls; greedy coefficients
     are identical and convex ones agree to round-off.
-    When every measurement is real and the dictionary has a real form, fista and admm iterate
-    on half spectra with real products, and return exactly conjugate-symmetric vectors; the
-    iterates are those of the complex path to round-off, which serves every other call.
+    Rows are float64, or complex128 where the measurements' dtype is complex, whatever their
+    values.  On float64 rows of a dictionary with a real form, fista and admm iterate on half
+    spectra with real products and return exactly conjugate-symmetric vectors, the complex
+    path's iterates to round-off; that path serves every other call.
     """
     if algorithm not in SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    meas = np.asarray(measurements, dtype=np.complex128)
+    meas = np.asarray(measurements)
+    meas = meas.astype(np.result_type(meas, np.float64), copy=False)
     if meas.ndim != 3:
         raise ValueError("measurements must be (x, y, m)")
     x_dim, y_dim, m = meas.shape
     if m != dictionary.m:
         raise ValueError("measurement length does not match the dictionary")
     block_type = _BLOCK_TYPES[algorithm]
-    if algorithm in CONVEX_SOLVERS and not meas.imag.any() and dictionary.real_form is not None:
-        meas = np.ascontiguousarray(meas.real)  # blocks of real rows iterate on half spectra
     # a block of no pixels checks the config and builds the dictionary state
     # the solver reads, once, before any worker forks
     block_type(np.empty((0, m), dtype=meas.dtype), dictionary, config)

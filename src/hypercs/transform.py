@@ -155,11 +155,11 @@ def load_mask(path):
 
 def measure(f, mask):
     """Subsample a spectrum, or every spectrum of an (..., n) stack:
-    y = f[..., mask.indices], promoted to complex."""
+    y = f[..., mask.indices] in f's dtype (float64 for a cube), C-ordered."""
     f = np.asarray(f)
     if f.shape[-1:] != (mask.n,):
         raise ValueError("spectrum length does not match the mask")
-    return f[..., mask.indices].astype(np.complex128, copy=False)
+    return np.take(f, mask.indices, axis=-1)
 
 
 def lipschitz_constant(matrix):

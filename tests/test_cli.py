@@ -135,11 +135,24 @@ class TestCompress:
         run_dir = tmp_path / "run"
         main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
         assert main(["compress", "--input", str(run_dir), "--seed", "9"]) == EXIT_OK
-        meas, n = load_measurements(run_dir / "measurements.hsm")
-        assert n == 24
+        meas = load_measurements(run_dir / "measurements.hsm")
+        assert load_mask(run_dir / "mask.txt").n == 24
         assert meas.shape == (4, 3, 10)  # 0.4 * 24 rounds to 10
         text = (run_dir / "mask.txt").read_text()
         assert text.startswith("seed=9")
+
+    def test_writes_real_samples(self, cube_file, tmp_path):
+        # HSM1, (x, y, m) and one float64 per kept band: half the bytes of complex samples
+        run_dir = tmp_path / "run"
+        main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
+        assert main(["compress", "--input", str(run_dir)]) == EXIT_OK
+        raw = (run_dir / "measurements.hsm").read_bytes()
+        assert raw[:4] == b"HSM1"
+        assert struct.unpack("<III", raw[4:16]) == (4, 3, 10)
+        assert len(raw) == 16 + 8 * 4 * 3 * 10
+        sparsified = load_cube(run_dir / "sparsified.hsc")
+        indices = load_mask(run_dir / "mask.txt").indices
+        assert raw[16:] == sparsified.data[:, :, indices].astype("<f8").tobytes()
 
     def test_same_seed_is_reproducible(self, cube_file, tmp_path):
         for name in ("a", "b"):
@@ -153,12 +166,23 @@ class TestCompress:
 
     def test_on_disk_layout(self, tmp_path):
         path = tmp_path / "meas.hsm"
-        meas = (np.arange(24.0) + 1j * np.arange(24.0, 48.0)).reshape(2, 3, 4)
-        save_measurements(path, meas, 9)
+        meas = np.arange(24.0).reshape(2, 3, 4)
+        save_measurements(path, meas)
         raw = path.read_bytes()
         assert raw[:4] == b"HSM1"
-        assert struct.unpack("<IIII", raw[4:20]) == (2, 3, 4, 9)
-        np.testing.assert_array_equal(np.frombuffer(raw[20:], dtype="<c16"), meas.reshape(-1))
+        assert struct.unpack("<III", raw[4:16]) == (2, 3, 4)
+        np.testing.assert_array_equal(np.frombuffer(raw[16:], dtype="<f8"), meas.reshape(-1))
+        loaded = load_measurements(path)
+        assert loaded.dtype == np.float64 and np.array_equal(loaded, meas)
+
+    def test_complex_measurements_are_rejected(self, tmp_path):
+        # numpy would only warn, and drop the imaginary parts
+        path = tmp_path / "meas.hsm"
+        with pytest.raises(TypeError, match="complex"):
+            save_measurements(path, np.ones((2, 3, 4)) + 1e-3j)
+        with pytest.raises(TypeError, match="complex"):
+            save_measurements(path, np.ones((2, 3, 4), dtype=complex))
+        assert not path.exists()
 
 
 class TestRecover:
@@ -214,9 +238,9 @@ class TestRecover:
         run_dir = tmp_path / "run"
         main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
         main(["compress", "--input", str(run_dir)])
-        meas, n = load_measurements(run_dir / "measurements.hsm")
+        meas = load_measurements(run_dir / "measurements.hsm")
         meas[1, 1, :] = np.nan
-        save_measurements(run_dir / "measurements.hsm", meas, n)
+        save_measurements(run_dir / "measurements.hsm", meas)
         code = main(
             ["recover", "--input", str(run_dir), "--algo", "fista", "--t-conv", "0",
              "--max-iter", "50"]
@@ -229,9 +253,9 @@ class TestRecover:
         run_dir = tmp_path / "run"
         main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
         main(["compress", "--input", str(run_dir)])
-        meas, n = load_measurements(run_dir / "measurements.hsm")
+        meas = load_measurements(run_dir / "measurements.hsm")
         meas[1, 1, :] = np.nan
-        save_measurements(run_dir / "measurements.hsm", meas, n)
+        save_measurements(run_dir / "measurements.hsm", meas)
         code = main(
             ["recover", "--input", str(run_dir), "--algo", "gomp", "--kappa", "2",
              "--t-conv", "0", "--max-iter", "50"]
@@ -282,7 +306,7 @@ class TestRecover:
             lambda raw: b"HSX1" + raw[4:],
             lambda raw: raw[:-8],
             lambda raw: raw + bytes(16),
-            lambda raw: raw[:4] + bytes(4) + raw[8:20],  # x = 0 and no payload
+            lambda raw: raw[:4] + bytes(4) + raw[8:16],  # x = 0 and no payload
         ],
         ids=["wrong-magic", "truncated-payload", "oversized-payload", "zero-dimension"],
     )
@@ -297,19 +321,40 @@ class TestRecover:
         code = main(["recover", "--input", str(run_dir), "--algo", "gomp", "--kappa", "2"])
         assert code == EXIT_IO
 
+    def test_measurement_file_of_the_complex_layout_exits_3(self, cube_file, tmp_path, capsys):
+        # HSM1 with four dims (x, y, m, n) and complex128 samples, as written
+        # before measurements were stored real: its payload size cannot pass
+        run_dir = tmp_path / "run"
+        main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
+        main(["compress", "--input", str(run_dir)])
+        path = run_dir / "measurements.hsm"
+        meas = load_measurements(path)
+        path.write_bytes(b"HSM1" + struct.pack("<4I", *meas.shape, 24) + meas.astype("<c16").tobytes())
+        code = main(["recover", "--input", str(run_dir), "--algo", "gomp", "--kappa", "2"])
+        assert code == EXIT_IO
+        assert str(path) in capsys.readouterr().err
+
+    def test_mask_of_another_length_exits_3(self, cube_file, tmp_path):
+        run_dir = tmp_path / "run"
+        main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
+        main(["compress", "--input", str(run_dir)])
+        (run_dir / "mask.txt").write_text("seed=0\nn=24\nindices=1,2,3\n")
+        code = main(["recover", "--input", str(run_dir), "--algo", "gomp", "--kappa", "2"])
+        assert code == EXIT_IO
+
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_pixel_log_matches_per_pixel_solves(self, cube_file, tmp_path, name):
         run_dir = tmp_path / "run"
         main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
         main(["compress", "--input", str(run_dir)])
-        meas, n = load_measurements(run_dir / "measurements.hsm")
+        meas = load_measurements(run_dir / "measurements.hsm")
         meas[0, 2] = 0.0
         meas[1, 1, 0] = np.nan
         if name == "gomp":
             # noise: the accumulated support outgrows the m = 10 measurements
             rng = np.random.default_rng(1)
-            meas[2, 1] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        save_measurements(run_dir / "measurements.hsm", meas, n)
+            meas[2, 1] = rng.standard_normal(10)
+        save_measurements(run_dir / "measurements.hsm", meas)
         flags = ["--lambda", "0.1"] if name in ("fista", "admm") else ["--kappa", "5", "--G", "5"]
         code = main(
             ["recover", "--input", str(run_dir), "--algo", name, *flags, "--t-conv", "0",
@@ -318,7 +363,8 @@ class TestRecover:
         assert code == EXIT_PARTIAL
 
         config = SolverConfig(lam=0.1, kappa=5, atoms_per_iter=5, time_limit=None, max_iter=400)
-        dictionary = build_dictionary(build_dft_basis(n), load_mask(run_dir / "mask.txt"))
+        mask = load_mask(run_dir / "mask.txt")
+        dictionary = build_dictionary(build_dft_basis(mask.n), mask)
         tag = f"{name}_lambda0.1" if name in ("fista", "admm") else f"{name}_kappa5"
         with open(run_dir / f"pixels_{tag}.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -605,7 +651,7 @@ class TestConfigFile:
             ["bench", "--input", str(cube_file), "--out", str(out), "--config", str(config)]
         )
         assert code == EXIT_OK
-        meas, _ = load_measurements(out / "measurements.hsm")
+        meas = load_measurements(out / "measurements.hsm")
         assert meas.shape[2] == 12  # ratio 0.5 of 24 bands
         assert (out / "recovered_gomp_kappa3.hsc").exists()
 

@@ -667,16 +667,29 @@ class TestHalfSpectrum:
         assert not np.array_equal(x[:, -np.arange(n) % n], x.conj())
 
     @pytest.mark.parametrize("name", CONVEX_SOLVERS)
-    def test_complex_rows_keep_the_complex_step_bit_for_bit(self, name):
-        # one complex pixel sends the whole call down the complex path
+    @pytest.mark.parametrize("imag", [1e-3, 0.0], ids=["complex-pixel", "real-valued"])
+    def test_complex_rows_keep_the_complex_step_bit_for_bit(self, name, imag):
+        # complex-typed measurements take the complex path, even where every
+        # imaginary part is 0: the dtype routes a call, not its values
         d, meas = desk_scene(8, 8, 64, 4, 1, 0.01)
-        meas = meas.copy()
-        meas[3, 4, 2] += 1e-3j
+        meas = meas.astype(complex)
+        meas[3, 4, 2] += 1j * imag
         cfg = SolverConfig(lam=0.01, time_limit=None, max_iter=20_000)
         cube, stats = recover_cube(meas, d, cfg, name)
         x, expected = self.complex_path(meas, d, cfg, COMPLEX_STEPS[name])
         assert cube.reshape(x.shape).tobytes() == x.tobytes()
         assert stats.iterations.tolist() == expected.iterations.tolist()
+
+    @pytest.mark.parametrize("name", GREEDY_SOLVERS)
+    def test_greedy_results_do_not_depend_on_the_dtype(self, name):
+        d, meas = desk_scene(16, 16, 128, 8, 2, 0.01)
+        for kappa in (8, 16):
+            cfg = SolverConfig(kappa=kappa, time_limit=None, max_iter=200)
+            real, real_stats = recover_cube(meas, d, cfg, name)
+            cube, stats = recover_cube(meas.astype(complex), d, cfg, name)
+            assert real.tobytes() == cube.tobytes()
+            for field in ("iterations", "converged", "final_delta", "failed_at"):
+                assert getattr(real_stats, field).tobytes() == getattr(stats, field).tobytes()
 
     @pytest.mark.parametrize("name", CONVEX_SOLVERS)
     @pytest.mark.parametrize("kind", ["identity", "gaussian"])
