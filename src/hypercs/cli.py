@@ -338,9 +338,6 @@ OPTIONS = {
                action="extend"),
         Option("--lambda", "l1 weight(s), comma separated", _parse_floats, param="lam", solver=True),
         Option("--kappa", "sparsity target(s), comma separated", _parse_ints, solver=True),
-        Option("--G", "atoms gomp adds per iteration", int, param="atoms_per_iter", solver=True),
-        Option("--mu", "biht gradient step factor", float, solver=True),
-        Option("--alpha", "admm starting penalty, balanced per pixel", float, solver=True),
         Option("--epsilon", "residual-delta convergence threshold", float, solver=True),
         Option("--t-conv", "time budget in seconds (<= 0 disables)", float, param="time_limit",
                solver=True),
@@ -433,14 +430,14 @@ def _resolve_jobs(settings):
 def _solver_configs(settings, algo):
     """One SolverConfig per swept value of one algorithm: lambda for the
     convex solvers, kappa (required) for the greedy ones.  The other
-    family's options are not read; every other solver option takes one
-    value, and SolverConfig holds every default."""
+    family's swept option is not read; every other solver option takes one
+    value, and SolverConfig holds every default, G, mu and alpha included."""
     if algo in CONVEX_SOLVERS:
-        swept, others = "lam", ("kappa", "g")
+        swept, other = "lam", "kappa"
     else:
         settings.require("kappa", algo)
-        swept, others = "kappa", ("lambda",)
-    params = settings.given([key for key in SOLVER_KEYS if key not in others], algo)
+        swept, other = "kappa", "lambda"
+    params = settings.given([key for key in SOLVER_KEYS if key != other], algo)
     if "time_limit" in params and params["time_limit"] <= 0:
         params["time_limit"] = None  # a budget <= 0 disables it
     if params.get("max_iter") == 0:

@@ -208,9 +208,7 @@ def _symmetric_support(bands, kappa, rng):
     pair_bins = [j for j in range(1, (bands + 1) // 2)]
     n_self = kappa % 2
     if kappa - n_self > 2 * len(pair_bins):
-        n_self += 2
-    if n_self > len(self_bins):
-        raise ValueError(f"cannot place {kappa} symmetric nonzeros in {bands} bands")
+        n_self += 2  # only at kappa == bands, bands even: both self-paired bins exist
     chosen = list(rng.choice(len(self_bins), size=n_self, replace=False))
     support = [self_bins[i] for i in chosen]
     n_pairs = (kappa - n_self) // 2

@@ -264,6 +264,34 @@ class TestRecover:
         meta = json.loads((run_dir / "run_gomp_kappa2.json").read_text())
         assert meta["n_failed"] == 1
 
+    def test_max_iter_0_means_unlimited(self, cube_file, tmp_path):
+        run_dir = tmp_path / "run"
+        assert run_stages(cube_file, run_dir, "--algo", "gomp", "--kappa", "2", "--max-iter", "0") == EXIT_OK
+        meta = json.loads((run_dir / "run_gomp_kappa2.json").read_text())
+        assert meta["config"]["max_iter"] is None
+
+    def test_jobs_0_matches_one_job(self, cube_file, tmp_path):
+        # 12 pixels: one worker per CPU, but never more workers than pixels
+        args = ["--input", str(cube_file), "--algo", "gomp,biht,cosamp", "--kappa", "2",
+                "--t-conv", "0", "--max-iter", "400"]
+        assert main(["bench", *args, "--out", str(tmp_path / "auto"), "--jobs", "0"]) == EXIT_OK
+        assert main(["bench", *args, "--out", str(tmp_path / "one"), "--jobs", "1"]) == EXIT_OK
+        assert artifacts(tmp_path / "auto") == artifacts(tmp_path / "one")
+
+    def test_run_dir_without_sparsify_record(self, cube_file, tmp_path):
+        run_dir = tmp_path / "scene"
+        main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
+        main(["compress", "--input", str(run_dir)])
+        (run_dir / "sparsify_stats.json").unlink()
+        code = main(["recover", "--input", str(run_dir), "--algo", "gomp", "--kappa", "2",
+                     "--t-conv", "0", "--max-iter", "400"])
+        assert code == EXIT_OK
+        meta = json.loads((run_dir / "run_gomp_kappa2.json").read_text())
+        assert meta["sparsify_sha256"] is None
+        assert meta["dataset"] == "scene"
+        assert main(["report", "--input", str(run_dir)]) == EXIT_OK
+        assert [row.dataset for row in read_report(run_dir / "report.csv")] == ["scene"]
+
     def test_bad_jobs_values(self, cube_file, tmp_path):
         run_dir = tmp_path / "run"
         main(["sparsify", "--input", str(cube_file), "--out", str(run_dir)])
@@ -350,19 +378,15 @@ class TestRecover:
         meas = load_measurements(run_dir / "measurements.hsm")
         meas[0, 2] = 0.0
         meas[1, 1, 0] = np.nan
-        if name == "gomp":
-            # noise: the accumulated support outgrows the m = 10 measurements
-            rng = np.random.default_rng(1)
-            meas[2, 1] = rng.standard_normal(10)
         save_measurements(run_dir / "measurements.hsm", meas)
-        flags = ["--lambda", "0.1"] if name in ("fista", "admm") else ["--kappa", "5", "--G", "5"]
+        flags = ["--lambda", "0.1"] if name in ("fista", "admm") else ["--kappa", "5"]
         code = main(
             ["recover", "--input", str(run_dir), "--algo", name, *flags, "--t-conv", "0",
              "--max-iter", "400"]
         )
         assert code == EXIT_PARTIAL
 
-        config = SolverConfig(lam=0.1, kappa=5, atoms_per_iter=5, time_limit=None, max_iter=400)
+        config = SolverConfig(lam=0.1, kappa=5, time_limit=None, max_iter=400)
         mask = load_mask(run_dir / "mask.txt")
         dictionary = build_dictionary(build_dft_basis(mask.n), mask)
         tag = f"{name}_lambda0.1" if name in ("fista", "admm") else f"{name}_kappa5"
@@ -383,7 +407,8 @@ class TestRecover:
             assert row[5:] == [f"{single.final_delta:.3e}", "0"]
             if (ix, iy) == (0, 2):
                 assert row[2:4] == ["0", "1"]
-            if name == "gomp" and (ix, iy) == (2, 1):
+            if name == "cosamp" and (ix, iy) == (2, 1):
+                # 3 kappa = 15 candidates outgrow the m = 10 measurements: the pixel halts
                 assert row[3] == "0" and 0 < single.iterations < 400
 
 
@@ -598,12 +623,10 @@ class TestBench:
         [
             ["--algo", "fista", "--epsilon", "nan"],
             ["--algo", "fista", "--lambda", "nan"],
-            ["--algo", "admm", "--alpha", "nan"],
             ["--algo", "fista", "--t-conv", "nan"],
-            ["--algo", "biht", "--kappa", "2", "--mu", "nan"],
             ["--algo", "fista", "--T", "nan"],
         ],
-        ids=["epsilon", "lambda", "alpha", "t-conv", "mu", "T"],
+        ids=["epsilon", "lambda", "t-conv", "T"],
     )
     def test_nan_parameter_writes_nothing(self, cube_file, tmp_path, flags):
         out = tmp_path / "b"
@@ -644,7 +667,7 @@ class TestConfigFile:
         config = tmp_path / "run.ini"
         config.write_text(
             "[run]\nt = 0.1\nratio = 0.5\nseed = 3\nalgo = gomp\n"
-            "t_conv = 0\nmax_iter = 400\n\n[gomp]\nkappa = 3\ng = 1\n"
+            "t_conv = 0\nmax_iter = 400\n\n[gomp]\nkappa = 3\n"
         )
         out = tmp_path / "bench"
         code = main(
@@ -675,8 +698,8 @@ class TestConfigFile:
             ("lambda", "--lambda", "0.05", ["--algo", "fista"]),
             ("t", "--T", "0.3", ["--algo", "gomp", "--kappa", "2"]),
             ("psnr_peak", "--psnr-peak", "range", ["--algo", "gomp", "--kappa", "2"]),
-            ("mu", "--mu", "0.3", ["--algo", "biht", "--kappa", "2"]),
-            ("g", "--G", "2", ["--algo", "gomp", "--kappa", "3"]),
+            ("epsilon", "--epsilon", "1e-3", ["--algo", "biht", "--kappa", "2"]),
+            ("kappa", "--kappa", "3", ["--algo", "gomp"]),
             ("export_bands", "--export-bands", "0,5,11", ["--algo", "gomp", "--kappa", "2"]),
             ("jobs", "--jobs", "2", ["--algo", "gomp", "--kappa", "2"]),
         ],
@@ -739,9 +762,17 @@ class TestConfigFile:
             "[gomp]\njobs = 2\n",
             "[DEFAULT]\nkappa = 2\n",
             "[run]\nconfig = other.ini\n",
+            "[run]\ng = 1\n",
+            "[run]\nmu = 0.3\n",
+            "[run]\nalpha = 2\n",
+            "[gomp]\ng = 1\n",
+            "[biht]\nmu = 0.3\n",
+            "[admm]\nalpha = 2\n",
         ],
         ids=["misspelt-key", "misspelt-solver-key", "format", "dataset", "unknown-section",
-             "run-key-in-solver-section", "jobs-in-solver-section", "default-section", "config"],
+             "run-key-in-solver-section", "jobs-in-solver-section", "default-section", "config",
+             "g", "mu", "alpha", "g-in-solver-section", "mu-in-solver-section",
+             "alpha-in-solver-section"],
     )
     def test_unknown_key_or_section_writes_nothing(self, cube_file, tmp_path, text):
         config = tmp_path / "run.ini"
@@ -753,6 +784,26 @@ class TestConfigFile:
         )
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["recover", "bench"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--algo", "gomp", "--kappa", "3", "--G", "2"],
+            ["--algo", "biht", "--kappa", "2", "--mu", "0.3"],
+            ["--algo", "admm", "--alpha", "2"],
+        ],
+        ids=["G", "mu", "alpha"],
+    )
+    def test_unknown_flag_writes_nothing(self, cube_file, tmp_path, command, flags):
+        # G, mu and alpha are SolverConfig fields that only Python callers set
+        run_dir = tmp_path / "run"
+        run_stages(cube_file, run_dir, "--algo", "gomp", "--kappa", "2")
+        before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        inputs = ["--input", str(run_dir)] if command == "recover" else [
+            "--input", str(cube_file), "--out", str(run_dir)]
+        assert main([command, *inputs, "--t-conv", "0", "--max-iter", "400", *flags]) == EXIT_CONFIG
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
 
     @pytest.mark.parametrize(
         "command",
