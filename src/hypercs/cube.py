@@ -198,30 +198,16 @@ def _load_envi(path):
         raise CubeFormatError(f"{path}: {exc}") from None
 
 
-def _symmetric_support(bands, kappa, rng):
-    """Random index set of exactly kappa bins, closed under j -> (N - j) % N.
-
-    Self-paired bins (0 and, for even N, N/2) count once; every other bin
-    drags its mirror along.
-    """
-    self_bins = [0] + ([bands // 2] if bands % 2 == 0 else [])
-    pair_bins = [j for j in range(1, (bands + 1) // 2)]
-    n_self = kappa % 2
-    if kappa - n_self > 2 * len(pair_bins):
-        n_self += 2  # only at kappa == bands, bands even: both self-paired bins exist
-    chosen = list(rng.choice(len(self_bins), size=n_self, replace=False))
-    support = [self_bins[i] for i in chosen]
-    n_pairs = (kappa - n_self) // 2
-    for i in rng.choice(len(pair_bins), size=n_pairs, replace=False):
-        support.append(pair_bins[i])
-        support.append(bands - pair_bins[i])
-    return sorted(support)
-
-
 def generate_synthetic_cube(x, y, bands, kappa_true, seed):
     """Cube whose every pixel has exactly kappa_true nonzero inverse-DFT
     coefficients (magnitudes in [1, 2], random phases, conjugate-symmetric
-    so the spectra come out real).  Deterministic per seed."""
+    so the spectra come out real).  Deterministic per seed.
+
+    A support is closed under j -> (N - j) % N: the self-paired bins 0 and
+    (N even) N/2 count once and hold real values; every other bin drags its
+    mirror along.  Per pixel the RNG draws the self bins, the p pair bins,
+    bin 0's value, one random(2p) for the pair bins' magnitudes and phases
+    (ascending bins), then bin N/2's value; the rest is done per x-line."""
     if min(x, y, bands) < 1:
         raise ValueError("cube dimensions must be >= 1")
     if not 1 <= kappa_true <= bands:
@@ -229,19 +215,30 @@ def generate_synthetic_cube(x, y, bands, kappa_true, seed):
     rng = np.random.default_rng(seed)
     basis = build_dft_basis(bands)
     data = np.empty((x, y, bands), dtype=np.float64)
-    half = bands / 2.0
+    self_bins = [0] + ([bands // 2] if bands % 2 == 0 else [])
+    n_pair_bins = (bands - 1) // 2  # bins 1 .. ceil(N/2) - 1
+    n_self = kappa_true % 2
+    if kappa_true - n_self > 2 * n_pair_bins:
+        n_self += 2  # only at kappa == bands, bands even: both self-paired bins exist
+    n_pairs = (kappa_true - n_self) // 2
+    pairs = np.empty((y, n_pairs), dtype=np.int64)
+    draws = np.empty((y, 2 * n_pairs))
+    rows = np.arange(y)[:, None]
     for ix in range(x):
         coeffs = np.zeros((y, bands), dtype=np.complex128)
-        for pixel in coeffs:
-            for j in _symmetric_support(bands, kappa_true, rng):
-                mirror = (bands - j) % bands
-                if j == mirror:
-                    # self-paired bin: the coefficient must be real
-                    pixel[j] = rng.uniform(1.0, 2.0) * rng.choice((-1.0, 1.0))
-                elif j < half:
-                    mag = rng.uniform(1.0, 2.0)
-                    phase = rng.uniform(0.0, 2.0 * np.pi)
-                    pixel[j] = mag * np.exp(1j * phase)
-                    pixel[mirror] = np.conj(pixel[j])
+        for iy in range(y):
+            picked = rng.choice(len(self_bins), size=n_self, replace=False) if n_self else ()
+            if n_pairs:
+                pairs[iy] = rng.choice(n_pair_bins, size=n_pairs, replace=False)
+            if 0 in picked:
+                coeffs[iy, 0] = rng.uniform(1.0, 2.0) * rng.choice((-1.0, 1.0))
+            draws[iy] = rng.random(2 * n_pairs)
+            if 1 in picked:
+                coeffs[iy, self_bins[1]] = rng.uniform(1.0, 2.0) * rng.choice((-1.0, 1.0))
+        # uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
+        bins = np.sort(pairs, axis=1) + 1
+        values = (1.0 + draws[:, 0::2]) * np.exp(1j * (2.0 * np.pi * draws[:, 1::2]))
+        coeffs[rows, bins] = values
+        coeffs[rows, bands - bins] = np.conj(values)
         data[ix], _ = from_sparse_domain(coeffs, basis)
     return HsiCube(data=data)
