@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .cube import CubeFormatError, HsiCube, load_cube, read_native, save_cube, write_native
-from .kernels import one_blas_thread
+from .kernels import one_blas_thread, openblas_libraries
 from .metrics import (
     PEAK_CONVENTIONS,
     SummaryRow,
@@ -171,7 +171,7 @@ def _sparsify_record(run_dir):
     return record, hashlib.sha256(record).hexdigest()
 
 
-def run_recover(run_dir, algorithm, config, jobs, blas_threads=None):
+def run_recover(run_dir, algorithm, config, jobs):
     run_dir = Path(run_dir)
     measurements = load_measurements(run_dir / MEASUREMENTS_FILE)
     try:
@@ -210,7 +210,7 @@ def run_recover(run_dir, algorithm, config, jobs, blas_threads=None):
         "mean_iterations_per_pixel": stats.total_iterations / stats.n_pixels,
         "convergence_pct": stats.convergence_pct,
         "recovery_time_s": stats.recovery_time_s,
-        "blas_threads": blas_threads,
+        "blas_threads": [getter() for _, _, getter in openblas_libraries()],
         "sparsify_sha256": digest,
         "recovered_file": f"recovered_{tag}.hsc",
         "pixels_file": f"pixels_{tag}.csv",
@@ -480,8 +480,7 @@ def cmd_recover(args):
     configs = _solver_configs(settings, algos[0])
     if len(configs) != 1:
         raise ConfigError("recover takes a single parameter value; use bench to sweep")
-    stats = run_recover(settings.require("input"), algos[0], configs[0], _resolve_jobs(settings),
-                        args.blas_threads)
+    stats = run_recover(settings.require("input"), algos[0], configs[0], _resolve_jobs(settings))
     return EXIT_PARTIAL if stats.n_failed else EXIT_OK
 
 
@@ -514,7 +513,7 @@ def cmd_bench(args):
     run_compress(out_dir, **compress)
     failed = 0
     for algo, config in runs:
-        failed += run_recover(out_dir, algo, config, jobs, args.blas_threads).n_failed
+        failed += run_recover(out_dir, algo, config, jobs).n_failed
     run_report(out_dir, tags=tags, **peak)  # this call's runs, not a reused directory's older ones
     if bands is not None:
         # one cube in memory at a time
@@ -566,7 +565,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-    args.blas_threads = one_blas_thread()
+    one_blas_thread()
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

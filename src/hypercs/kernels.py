@@ -8,7 +8,6 @@ import functools
 import os
 
 import numpy as np
-import scipy.linalg
 
 # numerical rank cutoff, relative to the largest singular value
 RANK_RTOL = 1e-10
@@ -47,6 +46,11 @@ def openblas_libraries():
     return found
 
 
+# whether the process asked for one BLAS thread; an OpenBLAS that scipy
+# brings later is then pinned as it loads (_scipy_linalg)
+_one_thread = False
+
+
 def one_blas_thread():
     """Run every loaded OpenBLAS on one thread; returns the counts it leaves.
 
@@ -54,7 +58,10 @@ def one_blas_thread():
     setter runs only where the count is not 1: forked pool workers inherit
     1, and setting it again there is not free.  Nothing is restored, since
     a restored count starts a spinning thread that slows what comes next.
+    An OpenBLAS loaded later, with scipy, is pinned as it is loaded.
     """
+    global _one_thread
+    _one_thread = True
     counts = []
     for _, setter, getter in openblas_libraries():
         if getter() != 1:
@@ -81,7 +88,8 @@ def soft_threshold(v, t):
         raise ValueError("threshold must be >= 0")
     v = np.asarray(v)
     mags = np.abs(v)
-    factor = np.maximum(mags - t, 0.0)
+    factor = mags - t
+    np.maximum(factor, 0.0, out=factor)
     np.divide(factor, mags, out=factor, where=factor > 0)
     return v * factor
 
@@ -126,14 +134,27 @@ def least_squares(b, y):
     if not (np.isfinite(b).all() and np.isfinite(y).all()):
         # non-finite input gives a non-finite solution for the caller to flag
         return np.full(b.shape[1], np.nan, dtype=np.result_type(b, y, 1.0))
-    s, *_ = scipy.linalg.lstsq(b, y, cond=RANK_RTOL, lapack_driver="gelsd")
+    s, *_ = _scipy_linalg().lstsq(b, y, cond=RANK_RTOL, lapack_driver="gelsd")
     return s
+
+
+@functools.cache
+def _scipy_linalg():
+    """scipy.linalg, imported on first use: only the greedy solvers' least
+    squares need it, and it loads a second OpenBLAS.  Where the process
+    asked for one BLAS thread, that library is pinned at once; it would
+    come up on its default count."""
+    import scipy.linalg
+
+    if _one_thread:
+        one_blas_thread()
+    return scipy.linalg
 
 
 @functools.cache
 def _cholesky_routines(dtype):
     """LAPACK's (potrf, potrs) for a dtype, looked up once."""
-    return scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
+    return _scipy_linalg().get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
 
 
 def gram_least_squares(b, gram, y):
@@ -153,23 +174,24 @@ def gram_least_squares(b, gram, y):
     largest) is left at zero and unmasked; least_squares then solves it.  A
     non-finite y_j gives a non-finite row without raising.
     """
-    potrf, potrs = _cholesky_routines(np.result_type(b, y))
-    factors = {}
-    for j, g in enumerate(gram):
-        factor, info = potrf(g)
-        diag = factor.diagonal().real.tolist()  # a few entries: faster as floats
-        if info == 0 and min(diag) > GRAM_RTOL * max(diag):
-            factors[j] = factor
+    dtype = np.result_type(b, y)
+    potrf, potrs = _cholesky_routines(dtype)
+    # a copy of the stack whose matrices are Fortran-ordered, factored in place
+    factors = np.array(gram.transpose(0, 2, 1), dtype=dtype, order="C").transpose(0, 2, 1)
+    info = np.array([potrf(g, overwrite_a=1)[1] for g in factors])
+    diag = factors.diagonal(axis1=1, axis2=2).real
+    solved = (info == 0) & (diag.min(axis=1) > GRAM_RTOL * diag.max(axis=1))
+    rows = np.flatnonzero(solved)
     bh = b.conj().transpose(0, 2, 1)
-    rhs = matvecs(bh, y)
-    s = np.zeros_like(rhs)
-    for j, factor in factors.items():
-        s[j] = potrs(factor, rhs[j])[0]
+    s = matvecs(bh, y)
+    for j in rows:
+        potrs(factors[j], s[j], overwrite_b=1)
+    s[~solved] = 0
     rhs = matvecs(bh, y - matvecs(b, s))
-    for j, factor in factors.items():
-        s[j] += potrs(factor, rhs[j])[0]
-    solved = np.zeros(len(gram), dtype=bool)
-    solved[list(factors)] = True
+    for j in rows:
+        potrs(factors[j], rhs[j], overwrite_b=1)
+    rhs[~solved] = 0
+    s += rhs
     return s, solved
 
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (argmax_k, gram_least_squares, least_squares, matvecs, one_blas_thread, residual_delta,
-                      soft_threshold)
+from .kernels import (_cholesky_routines, argmax_k, gram_least_squares, least_squares, matvecs, one_blas_thread,
+                      residual_delta, soft_threshold)
 from .transform import half_weights
 
 
@@ -235,9 +235,11 @@ class _AdmmBlock:
         self.penalize(np.full((len(y), 1), config.alpha))
 
     def penalize(self, alpha):
-        """Set the rows' penalties and the factors the iteration takes from them."""
+        """Set the rows' penalties and the factors and shrinkage thresholds
+        the iteration takes from them."""
         self.alpha, self.inv_alpha = alpha, 1.0 / alpha
         self.damping = 1.0 / (self.eigenvalues + alpha)
+        self.threshold = self.lam * self.inv_alpha
 
     def step(self, y, residual):
         """One iteration; returns the residual of the x iterate, which feeds
@@ -255,7 +257,7 @@ class _AdmmBlock:
         u *= self.inv_alpha
         # 2. shrinkage step, the prox of the l1 term under the scaled dual
         w = x + self.w
-        z = soft_threshold(w, self.lam * self.inv_alpha)
+        z = soft_threshold(w, self.threshold)
         # 3. dual update, w + x - z
         w -= z
         # 4. residual balancing on the squared residuals
@@ -316,6 +318,7 @@ class _GreedyBlock:
         self.ah = self.a.conj().T
         self.at = np.ascontiguousarray(self.a.T)
         self.gram = dictionary.gram
+        _cholesky_routines(self.a.dtype)  # loads and pins scipy before any worker forks
         self.config = config
         self.x = np.zeros((len(y), dictionary.n), dtype=np.complex128)
         self.support = np.zeros(self.x.shape, dtype=bool)

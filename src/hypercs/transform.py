@@ -7,21 +7,31 @@ the spectral samples: y = f[mask.indices] = A x, where A holds the selected
 rows of the basis.
 """
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import matvecs
 
 
 def build_dft_basis(n):
     """Dictionary of all n rows of the unitary DFT matrix (unitary to
-    machine precision)."""
+    machine precision); the matrix is built once per n and read-only."""
     if n < 1:
         raise ValueError("basis size must be >= 1")
-    return Dictionary(matrix=scipy.linalg.dft(n, scale="sqrtn"))
+    return Dictionary(matrix=_dft_matrix(n))
+
+
+@lru_cache(maxsize=8)
+def _dft_matrix(n):
+    """The unitary DFT matrix in the steps of scipy.linalg.dft(n, scale="sqrtn"),
+    so equal to it bit for bit."""
+    m = np.exp(-2j * np.pi * np.arange(n) / n).reshape(-1, 1) ** np.arange(n)
+    m /= math.sqrt(n)
+    m.flags.writeable = False
+    return m
 
 
 def _apply(matrix, v, what):

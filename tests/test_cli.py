@@ -2,15 +2,20 @@
 
 import csv
 import json
+import os
 import re
 import shutil
 import struct
 import subprocess
+import sys
+import textwrap
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypercs
 from hypercs import (
     SOLVERS,
     HsiCube,
@@ -841,6 +846,69 @@ class TestConfigFile:
              "--config", str(config), "--algo", "gomp", "--kappa", "2"]
         )
         assert code == EXIT_CONFIG
+
+
+def fresh_python(code, *args):
+    """Run code in a new interpreter that imports this hypercs; the JSON
+    value its last output line prints."""
+    env = dict(os.environ)
+    paths = [str(Path(hypercs.__file__).parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestScipyLoading:
+    """Only the greedy solvers' least squares load scipy; each check runs in
+    a new interpreter, since this one has scipy loaded already."""
+
+    def test_stage_commands_and_a_convex_bench_run_without_scipy(self, cube_file, tmp_path):
+        loaded = fresh_python(
+            """
+            import json, sys
+            import hypercs.cli
+            cube, run, bench = sys.argv[1:]
+            loaded = {"import": "scipy" in sys.modules}
+            for name, argv in [
+                ("sparsify", ["sparsify", "--input", cube, "--out", run]),
+                ("compress", ["compress", "--input", run]),
+                ("bench", ["bench", "--input", cube, "--out", bench, "--algo", "fista,admm",
+                           "--t-conv", "0", "--max-iter", "50"]),
+                ("report", ["report", "--input", bench]),
+            ]:
+                assert hypercs.cli.main(argv) == 0, name
+                loaded[name] = "scipy" in sys.modules
+            print(json.dumps(loaded))
+            """,
+            cube_file, tmp_path / "run", tmp_path / "bench",
+        )
+        assert loaded == dict.fromkeys(["import", "sparsify", "compress", "bench", "report"], False)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_greedy_bench_leaves_every_openblas_on_one_thread(self, cube_file, tmp_path, jobs):
+        # the greedy run loads scipy, and its OpenBLAS, after the command
+        # pinned the process; the records list what was loaded as each was written
+        found = fresh_python(
+            """
+            import json, sys
+            from hypercs.cli import main
+            from hypercs.kernels import openblas_libraries
+            cube, out, jobs = sys.argv[1:]
+            assert main(["bench", "--input", cube, "--out", out, "--algo", "admm", "--algo", "gomp",
+                         "--kappa", "2", "--t-conv", "0", "--max-iter", "50", "--jobs", jobs]) == 0
+            print(json.dumps({"scipy": "scipy" in sys.modules,
+                              "threads": [getter() for _, _, getter in openblas_libraries()]}))
+            """,
+            cube_file, tmp_path / "bench", jobs,
+        )
+        assert found["scipy"]
+        assert found["threads"] == [1] * len(found["threads"])
+        records = [json.loads((tmp_path / "bench" / f"run_{tag}.json").read_text())["blas_threads"]
+                   for tag in ("admm_lambda0.1", "gomp_kappa2")]
+        assert records[1] == found["threads"]
+        assert records[0] == [1] * len(records[0]) and len(records[0]) <= len(records[1])
 
 
 class TestEntryPoint:

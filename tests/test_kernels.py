@@ -271,6 +271,33 @@ class TestGramLeastSquares:
             expected = least_squares(b, y)
             assert np.linalg.norm(s - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    def test_real_matrix_with_complex_measurements(self):
+        # the real Gram stack is factored in the complex routines' dtype
+        rng = np.random.default_rng(8)
+        b = rng.standard_normal((2, 9, 4))
+        y = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
+        s, solved = gram_least_squares(b, b.transpose(0, 2, 1) @ b, y)
+        assert solved.all() and s.dtype == np.complex128
+        for j in range(2):
+            expected = least_squares(b[j], y[j])
+            assert np.linalg.norm(s[j] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_each_row_of_a_mixed_stack_gets_its_lone_bytes(self):
+        # the middle support holds a duplicated column: that row is left at
+        # zero and unmasked, the others get the bytes of a stack of one, and
+        # no input is written
+        matrix = partial_fourier(16, 7, 0).matrix.copy()
+        matrix[:, 5] = matrix[:, 2]
+        b = matrix.T[[[0, 3, 9], [1, 2, 5], [4, 6, 11]]].transpose(0, 2, 1)
+        gram = b.conj().transpose(0, 2, 1) @ b
+        y = np.random.default_rng(7).standard_normal((3, 7)) + 0.5j
+        inputs = [a.tobytes() for a in (b, gram, y)]
+        s, solved = gram_least_squares(b, gram, y)
+        assert solved.tolist() == [True, False, True] and not s[1].any()
+        for j in (0, 2):
+            assert s[j].tobytes() == gram_least_squares_one(b[j], gram[j], y[j])[0].tobytes()
+        assert [a.tobytes() for a in (b, gram, y)] == inputs
+
 
 class TestResidualDelta:
     def test_l2_distance(self):

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hypercs import (
     Dictionary,
@@ -33,6 +34,20 @@ class TestDftBasis:
         psi = build_dft_basis(8).matrix
         assert psi[0, 0] == pytest.approx(1.0 / np.sqrt(8.0))
         assert psi[1, 1] == pytest.approx(np.exp(-2j * np.pi / 8.0) / np.sqrt(8.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 128, 198, 256])
+    def test_matrix_equals_scipy_dft_byte_for_byte(self, n):
+        expected = scipy.linalg.dft(n, scale="sqrtn")
+        psi = build_dft_basis(n).matrix
+        assert psi.dtype == expected.dtype and psi.shape == expected.shape
+        assert psi.tobytes() == expected.tobytes()
+
+    def test_matrix_is_built_once_per_size_and_read_only(self):
+        a, b = build_dft_basis(12), build_dft_basis(12)
+        assert a is not b and a.matrix is b.matrix
+        assert not a.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            a.matrix[0, 0] = 0.0
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
