@@ -5,9 +5,11 @@ Vectors may be real or complex; everything is computed in double precision.
 
 import ctypes
 import functools
+import itertools
 import os
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # numerical rank cutoff, relative to the largest singular value
 RANK_RTOL = 1e-10
@@ -23,6 +25,24 @@ OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+# the LAPACK names a numpy build links, each with its integer type: numpy 2
+# wheels (scipy-openblas64), numpy 1.22-1.26 wheels (openblas64_), then
+# 32-bit-integer builds (scipy-openblas32, a plain LAPACK)
+LAPACK_SYMBOLS = (
+    ("scipy_{}_64_", np.int64),
+    ("{}_64_", np.int64),
+    ("scipy_{}_", np.int32),
+    ("{}_", np.int32),
+)
+# the LAPACK prefix of each dtype character
+LAPACK_PREFIXES = {"f": "s", "d": "d", "F": "c", "D": "z"}
+# ?posv and ?potrs take uplo, n, nrhs, a, lda, b, ldb and info by reference,
+# then uplo's hidden Fortran length, which a gfortran-built routine may use
+# as it hands uplo on.  Every argument is a ctypes object, passed as it is:
+# declared argument types cost about 0.3 us more per call in conversions.
+# The calls hold the GIL, as each is short.
+_LAPACK_SOLVE = ctypes.PYFUNCTYPE(None)
+_UPLO_LENGTH = ctypes.c_size_t(1)
 
 
 def openblas_libraries():
@@ -46,11 +66,6 @@ def openblas_libraries():
     return found
 
 
-# whether the process asked for one BLAS thread; an OpenBLAS that scipy
-# brings later is then pinned as it loads (_scipy_linalg)
-_one_thread = False
-
-
 def one_blas_thread():
     """Run every loaded OpenBLAS on one thread; returns the counts it leaves.
 
@@ -58,10 +73,7 @@ def one_blas_thread():
     setter runs only where the count is not 1: forked pool workers inherit
     1, and setting it again there is not free.  Nothing is restored, since
     a restored count starts a spinning thread that slows what comes next.
-    An OpenBLAS loaded later, with scipy, is pinned as it is loaded.
     """
-    global _one_thread
-    _one_thread = True
     counts = []
     for _, setter, getter in openblas_libraries():
         if getter() != 1:
@@ -134,40 +146,54 @@ def least_squares(b, y):
     if not (np.isfinite(b).all() and np.isfinite(y).all()):
         # non-finite input gives a non-finite solution for the caller to flag
         return np.full(b.shape[1], np.nan, dtype=np.result_type(b, y, 1.0))
-    s, *_ = _scipy_linalg().lstsq(b, y, cond=RANK_RTOL, lapack_driver="gelsd")
-    return s
-
-
-@functools.cache
-def _scipy_linalg():
-    """scipy.linalg, imported on first use: only the greedy solvers' least
-    squares need it, and it loads a second OpenBLAS.  Where the process
-    asked for one BLAS thread, that library is pinned at once; it would
-    come up on its default count."""
-    import scipy.linalg
-
-    if _one_thread:
-        one_blas_thread()
-    return scipy.linalg
+    return np.linalg.lstsq(b, y, rcond=RANK_RTOL)[0]
 
 
 @functools.cache
 def _cholesky_routines(dtype):
-    """LAPACK's (potrf, potrs) for a dtype, looked up once."""
-    return _scipy_linalg().get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
+    """numpy's LAPACK (posv, potrs) for a dtype, with their integer type,
+    looked up once through the handle of the library numpy.linalg links."""
+    prefix = LAPACK_PREFIXES.get(np.dtype(dtype).char)
+    if prefix is None:
+        raise TypeError(f"no LAPACK routines for dtype {np.dtype(dtype)}")
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for pattern, integer in LAPACK_SYMBOLS:
+        names = [pattern.format(prefix + routine) for routine in ("posv", "potrs")]
+        if all(hasattr(lib, name) for name in names):
+            return *(_LAPACK_SOLVE(ctypes.cast(lib[name], ctypes.c_void_p).value) for name in names), integer
+    tried = ", ".join(pattern.format(prefix + "posv") for pattern, _ in LAPACK_SYMBOLS)
+    raise RuntimeError(f"numpy {np.__version__}'s LAPACK exports none of {tried}; the greedy solvers "
+                       "need numpy built against a LAPACK under one of these names")
+
+
+def _solve_rows(routine, ints, factors, rhs, rows):
+    """routine(uplo "U", n, nrhs, factors[j].T, n, rhs[j], n, info_j) for
+    each row j in rows, in place.  ints holds n, nrhs and each row's info_j;
+    factors, C-ordered, holds the transposes of the n x n matrices, which
+    LAPACK reads in Fortran order.  ctypes raises TypeError unless each
+    array is C-contiguous and writable, and holds each while it is used."""
+    if not rows:
+        return
+    a_buf, b_buf, i_buf = map(ctypes.c_char.from_buffer, (factors, rhs, ints))
+    da, db, di = factors.strides[0], rhs.strides[0], ints.itemsize
+    n, nrhs = ctypes.byref(i_buf), ctypes.byref(i_buf, di)
+    for j in rows:
+        routine(b"U", n, nrhs, ctypes.byref(a_buf, j * da), n, ctypes.byref(b_buf, j * db), n,
+                ctypes.byref(i_buf, (j + 2) * di), _UPLO_LENGTH)
 
 
 def gram_least_squares(b, gram, y):
     """Solve min_s ||b_j s - y_j||_2 for each row j of a stack through the
     normal equations, gram_j = b_j^H b_j.
 
-    b is (c, m, s), gram (c, s, s) and y (c, m).  Each gram_j is
-    Cholesky-factored and gram_j s = b_j^H y_j solved; one correction on the
-    true residual, s += gram_j^-1 b_j^H (y_j - b_j s), brings the result to
-    the accuracy of an orthogonal solve (corrected semi-normal equations,
-    Bjorck 1987).  The products are stacked, one matrix-vector product per
-    row, and only the LAPACK calls loop over rows, so a row of a stack gets
-    the bytes it gets in a stack of one.
+    b is (c, m, s), gram (c, s, s) and y (c, m).  One LAPACK posv per row
+    Cholesky-factors gram_j and solves gram_j s = b_j^H y_j; one potrs
+    applies a correction on the true residual, s += gram_j^-1 b_j^H
+    (y_j - b_j s), which brings the result to the accuracy of an orthogonal
+    solve (corrected semi-normal equations, Bjorck 1987).  The products are
+    stacked, one matrix-vector product per row, and only the LAPACK calls
+    loop over rows, so a row of a stack gets the bytes it gets in a stack
+    of one.
     Returns the (c, s) solutions and a (c,) mask of the rows solved.  A row
     whose gram_j is not numerically positive definite (the factorization
     fails, or its smallest diagonal entry is at most GRAM_RTOL times its
@@ -175,21 +201,19 @@ def gram_least_squares(b, gram, y):
     non-finite y_j gives a non-finite row without raising.
     """
     dtype = np.result_type(b, y)
-    potrf, potrs = _cholesky_routines(dtype)
-    # a copy of the stack whose matrices are Fortran-ordered, factored in place
-    factors = np.array(gram.transpose(0, 2, 1), dtype=dtype, order="C").transpose(0, 2, 1)
-    info = np.array([potrf(g, overwrite_a=1)[1] for g in factors])
-    diag = factors.diagonal(axis1=1, axis2=2).real
-    solved = (info == 0) & (diag.min(axis=1) > GRAM_RTOL * diag.max(axis=1))
-    rows = np.flatnonzero(solved)
+    posv, potrs, integer = _cholesky_routines(dtype)
+    # a C-ordered copy of the transposes, factored in place in Fortran order
+    factors = np.array(gram.transpose(0, 2, 1), dtype=dtype, order="C")
+    ints = np.zeros(len(factors) + 2, dtype=integer)  # n, nrhs, then each row's info
+    ints[0], ints[1] = factors.shape[-1], 1
     bh = b.conj().transpose(0, 2, 1)
     s = matvecs(bh, y)
-    for j in rows:
-        potrs(factors[j], s[j], overwrite_b=1)
+    _solve_rows(posv, ints, factors, s, range(len(s)))
+    diag = factors.diagonal(axis1=1, axis2=2).real
+    solved = (ints[2:] == 0) & (diag.min(axis=1) > GRAM_RTOL * diag.max(axis=1))
     s[~solved] = 0
     rhs = matvecs(bh, y - matvecs(b, s))
-    for j in rows:
-        potrs(factors[j], rhs[j], overwrite_b=1)
+    _solve_rows(potrs, ints, factors, rhs, list(itertools.compress(range(len(s)), solved.tolist())))
     rhs[~solved] = 0
     s += rhs
     return s, solved

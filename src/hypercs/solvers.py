@@ -318,7 +318,7 @@ class _GreedyBlock:
         self.ah = self.a.conj().T
         self.at = np.ascontiguousarray(self.a.T)
         self.gram = dictionary.gram
-        _cholesky_routines(self.a.dtype)  # loads and pins scipy before any worker forks
+        _cholesky_routines(self.a.dtype)  # where numpy's LAPACK is not found, fails before any tile
         self.config = config
         self.x = np.zeros((len(y), dictionary.n), dtype=np.complex128)
         self.support = np.zeros(self.x.shape, dtype=bool)
@@ -359,7 +359,7 @@ class _GreedyBlock:
         REFIT_ENTRIES stacked atom entries at a time."""
         x = np.zeros(supports.shape, dtype=np.complex128)
         sizes = np.count_nonzero(supports, axis=1)
-        for size in np.unique(sizes):
+        for size in np.flatnonzero(np.bincount(sizes)):
             group = np.flatnonzero(sizes == size)
             chunk = max(1, REFIT_ENTRIES // (size * y.shape[1]))
             for rows in np.split(group, range(chunk, group.size, chunk)):

@@ -861,8 +861,9 @@ def fresh_python(code, *args):
 
 
 class TestScipyLoading:
-    """Only the greedy solvers' least squares load scipy; each check runs in
-    a new interpreter, since this one has scipy loaded already."""
+    """The toolkit runs on numpy alone: no command loads scipy.  Each check
+    runs in a new interpreter, since this one has scipy loaded for the
+    tests' oracles."""
 
     def test_stage_commands_and_a_convex_bench_run_without_scipy(self, cube_file, tmp_path):
         loaded = fresh_python(
@@ -887,28 +888,43 @@ class TestScipyLoading:
         assert loaded == dict.fromkeys(["import", "sparsify", "compress", "bench", "report"], False)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_greedy_bench_leaves_every_openblas_on_one_thread(self, cube_file, tmp_path, jobs):
-        # the greedy run loads scipy, and its OpenBLAS, after the command
-        # pinned the process; the records list what was loaded as each was written
+    def test_greedy_bench_loads_neither_scipy_nor_numpy_ma(self, cube_file, tmp_path, jobs):
+        # the greedy least squares calls the LAPACK numpy links, so a process
+        # holds one OpenBLAS; an audit hook, which forked pool workers
+        # inherit, logs each process that unpickles (every worker does) and
+        # each load of scipy or numpy.ma, in the parent or a worker
         found = fresh_python(
             """
-            import json, sys
+            import json, multiprocessing, os, sys
+            cube, out, jobs, log = sys.argv[1:]
+
+            def hook(event, args):
+                if event == "pickle.find_class" or (event == "import" and args[0] in ("scipy", "numpy.ma")):
+                    with open(log, "a") as fh:
+                        fh.write(f"{os.getpid()} {event} {args[0]}\\n")
+
+            sys.addaudithook(hook)
             from hypercs.cli import main
             from hypercs.kernels import openblas_libraries
-            cube, out, jobs = sys.argv[1:]
-            assert main(["bench", "--input", cube, "--out", out, "--algo", "admm", "--algo", "gomp",
+            assert main(["bench", "--input", cube, "--out", out, "--algo", "gomp,biht,cosamp",
                          "--kappa", "2", "--t-conv", "0", "--max-iter", "50", "--jobs", jobs]) == 0
-            print(json.dumps({"scipy": "scipy" in sys.modules,
-                              "threads": [getter() for _, _, getter in openblas_libraries()]}))
+            print(json.dumps({"pid": os.getpid(), "modules": sorted({"scipy", "numpy.ma"} & sys.modules.keys()),
+                              "threads": [getter() for _, _, getter in openblas_libraries()],
+                              "fork": multiprocessing.get_start_method() == "fork"}))
             """,
-            cube_file, tmp_path / "bench", jobs,
+            cube_file, tmp_path / "bench", jobs, tmp_path / "audit.log",
         )
-        assert found["scipy"]
-        assert found["threads"] == [1] * len(found["threads"])
-        records = [json.loads((tmp_path / "bench" / f"run_{tag}.json").read_text())["blas_threads"]
-                   for tag in ("admm_lambda0.1", "gomp_kappa2")]
-        assert records[1] == found["threads"]
-        assert records[0] == [1] * len(records[0]) and len(records[0]) <= len(records[1])
+        log = tmp_path / "audit.log"
+        events = [line.split() for line in log.read_text().splitlines()] if log.exists() else []
+        assert found["modules"] == []
+        assert [event for event in events if event[1] == "import"] == []
+        workers = {pid for pid, event, _ in events if event == "pickle.find_class"} - {str(found["pid"])}
+        # two for each run, where workers fork and so run the hook
+        assert len(workers) == (2 * 3 if jobs == 2 and found["fork"] else 0)
+        assert found["threads"] == [1]
+        for algorithm in ("gomp", "biht", "cosamp"):
+            record = json.loads((tmp_path / "bench" / f"run_{algorithm}_kappa2.json").read_text())
+            assert record["blas_threads"] == [1]
 
 
 class TestEntryPoint:

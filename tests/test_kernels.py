@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hypercs import (
     Dictionary,
@@ -14,9 +15,10 @@ from hypercs import (
     save_cube,
     soft_threshold,
 )
-from hypercs import kernels
+from hypercs import kernels, solvers
 from hypercs.cli import EXIT_OK, main
-from hypercs.kernels import OPENBLAS_THREAD_SYMBOLS, one_blas_thread, openblas_libraries
+from hypercs.kernels import (GRAM_RTOL, OPENBLAS_THREAD_SYMBOLS, RANK_RTOL, matvecs, one_blas_thread,
+                             openblas_libraries)
 from hypercs.solvers import _CosampBlock
 
 from helpers import partial_fourier
@@ -282,6 +284,18 @@ class TestGramLeastSquares:
             expected = least_squares(b[j], y[j])
             assert np.linalg.norm(s[j] - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    def test_a_numpy_without_the_routines_fails_before_any_tile(self, monkeypatch):
+        # the zero-pixel block looks the routines up before any tile or
+        # worker starts; a failed lookup is not cached
+        monkeypatch.setattr(kernels, "LAPACK_SYMBOLS", (("missing_{}_", np.int64),))
+        kernels._cholesky_routines.cache_clear()
+        tiles = []
+        monkeypatch.setattr(solvers, "_solve_block", lambda *args: tiles.append(args))
+        d = partial_fourier(16, 7, 0)
+        with pytest.raises(RuntimeError, match="exports none of missing_zposv_"):
+            solvers.recover_cube(np.ones((2, 2, 7)), d, SolverConfig(kappa=2), "gomp", jobs=2)
+        assert tiles == []
+
     def test_each_row_of_a_mixed_stack_gets_its_lone_bytes(self):
         # the middle support holds a duplicated column: that row is left at
         # zero and unmasked, the others get the bytes of a stack of one, and
@@ -297,6 +311,124 @@ class TestGramLeastSquares:
         for j in (0, 2):
             assert s[j].tobytes() == gram_least_squares_one(b[j], gram[j], y[j])[0].tobytes()
         assert [a.tobytes() for a in (b, gram, y)] == inputs
+
+
+def scipy_gram_least_squares(b, gram, y):
+    """gram_least_squares on scipy's LAPACK, the oracle: per row a potrf,
+    then a potrs for the solve and one for the correction, with the same
+    stacked products and the same GRAM_RTOL test."""
+    dtype = np.result_type(b, y)
+    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
+    factors, info = zip(*(potrf(g.astype(dtype)) for g in gram))
+    diag = np.array(factors).diagonal(axis1=1, axis2=2).real
+    solved = (np.array(info) == 0) & (diag.min(axis=1) > GRAM_RTOL * diag.max(axis=1))
+    bh = b.conj().transpose(0, 2, 1)
+    s = matvecs(bh, y)
+    rows = np.flatnonzero(solved)
+    for j in rows:
+        s[j] = potrs(factors[j], s[j])[0]
+    s[~solved] = 0
+    rhs = matvecs(bh, y - matvecs(b, s))
+    for j in rows:
+        rhs[j] = potrs(factors[j], rhs[j])[0]
+    rhs[~solved] = 0
+    return s + rhs, solved
+
+
+def random_stack(rng, rows, m, k, dtype):
+    """A (rows, m, k) stack of dtype columns with its Gram stack."""
+    b = rng.standard_normal((rows, m, k))
+    if dtype is complex:
+        b = b + 1j * rng.standard_normal((rows, m, k))
+    return b, b.conj().transpose(0, 2, 1) @ b
+
+
+class TestScipyOracle:
+    """gram_least_squares and least_squares run on numpy's own LAPACK; each
+    result equals, bit for bit, the one scipy's routines give."""
+
+    @staticmethod
+    def assert_same_bytes(b, gram, y):
+        s, solved = gram_least_squares(b, gram, y)
+        expected, expected_solved = scipy_gram_least_squares(b, gram, y)
+        assert solved.tolist() == expected_solved.tolist()
+        assert s.dtype == expected.dtype and s.tobytes() == expected.tobytes()
+        return solved
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_random_stacks(self, dtype):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            m = int(rng.integers(1, 80))
+            b, gram = random_stack(rng, int(rng.integers(1, 40)), m, int(rng.integers(1, m + 1)), dtype)
+            y = rng.standard_normal(b.shape[:2]).astype(dtype)
+            assert self.assert_same_bytes(b, gram, y).all()
+
+    def test_real_measurements_on_complex_columns(self):
+        # the greedy refit of real rows: complex atoms, float64 measurements
+        rng = np.random.default_rng(12)
+        b, gram = random_stack(rng, 30, 51, 12, complex)
+        self.assert_same_bytes(b, gram, rng.standard_normal((30, 51)))
+
+    def test_rows_that_fail_the_factorization(self):
+        # exact copies of a column fail potrf; the other rows still solve
+        rng = np.random.default_rng(13)
+        b, _ = random_stack(rng, 8, 20, 5, complex)
+        b[::2, :, 3] = b[::2, :, 1]
+        gram = b.conj().transpose(0, 2, 1) @ b
+        solved = self.assert_same_bytes(b, gram, rng.standard_normal((8, 20)) + 0.5j)
+        assert solved.tolist() == [False, True] * 4
+
+    def test_rows_at_the_gram_rtol_cutoff(self):
+        # orthonormal columns scaled to 1 and r: the factor's diagonal ratio
+        # is r to round-off, on both sides of GRAM_RTOL
+        rng = np.random.default_rng(14)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2)))
+        ratios = GRAM_RTOL * np.array([1 - 1e-9, 1 - 1e-15, 1, 1 + 1e-15, 1 + 1e-9])
+        b = q * np.stack([np.ones_like(ratios), ratios], axis=1)[:, None, :]
+        gram = b.conj().transpose(0, 2, 1) @ b
+        solved = self.assert_same_bytes(b, gram, rng.standard_normal((5, 12)) + 0j)
+        assert not solved[0] and solved[-1]
+
+    def test_non_finite_measurements(self):
+        rng = np.random.default_rng(15)
+        b, gram = random_stack(rng, 4, 16, 3, complex)
+        y = rng.standard_normal((4, 16)) + 0j
+        y[1, 5], y[3, 0] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):  # inf - inf in the residual
+            self.assert_same_bytes(b, gram, y)
+            s, _ = gram_least_squares(b, gram, y)
+        assert np.isfinite(s[[0, 2]]).all() and not np.isfinite(s[[1, 3]]).any()
+
+    def test_a_lone_row_gets_the_bytes_of_its_row_in_a_256_row_stack(self):
+        rng = np.random.default_rng(16)
+        b, gram = random_stack(rng, 256, 79, 12, complex)
+        y = rng.standard_normal((256, 79))
+        stacked, _ = gram_least_squares(b, gram, y)
+        self.assert_same_bytes(b, gram, y)
+        for j in (0, 117, 255):
+            lone = b[j : j + 1], gram[j : j + 1], y[j : j + 1]
+            assert self.assert_same_bytes(*lone).all()
+            assert gram_least_squares(*lone)[0].tobytes() == stacked[j].tobytes()
+
+    @pytest.mark.parametrize("b_dtype, y_dtype", [(complex, complex), (float, float), (complex, float)])
+    def test_least_squares_is_scipy_gelsd(self, b_dtype, y_dtype):
+        # overdetermined, square, underdetermined and rank-deficient systems,
+        # and singular values on both sides of RANK_RTOL
+        rng = np.random.default_rng(17)
+        for trial in range(120):
+            m, k = (int(v) for v in rng.integers(1, 30, size=2))
+            b = random_stack(rng, 1, m, k, b_dtype)[0][0]
+            if trial % 3 == 1 and min(m, k) > 1:
+                u, sv, vh = np.linalg.svd(b, full_matrices=False)
+                sv[-1] = sv[0] * RANK_RTOL * rng.choice([0.0, 0.5, 0.999, 1.001, 2.0])
+                b = (u * sv) @ vh
+            y = rng.standard_normal(m).astype(y_dtype)
+            if y_dtype is complex:
+                y = y + 1j * rng.standard_normal(m)
+            expected = scipy.linalg.lstsq(b, y, cond=RANK_RTOL, lapack_driver="gelsd")[0]
+            s = least_squares(b, y)
+            assert s.dtype == expected.dtype and s.tobytes() == expected.tobytes()
 
 
 class TestResidualDelta:
