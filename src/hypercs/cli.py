@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .cube import CubeFormatError, HsiCube, load_cube, read_native, save_cube, write_native
-from .kernels import one_blas_thread, openblas_libraries
+from .kernels import one_blas_thread, openblas_threads
 from .metrics import (
     PEAK_CONVENTIONS,
     SummaryRow,
@@ -210,7 +210,7 @@ def run_recover(run_dir, algorithm, config, jobs):
         "mean_iterations_per_pixel": stats.total_iterations / stats.n_pixels,
         "convergence_pct": stats.convergence_pct,
         "recovery_time_s": stats.recovery_time_s,
-        "blas_threads": [getter() for _, _, getter in openblas_libraries()],
+        "blas_threads": [getter() for _, getter in openblas_threads()],
         "sparsify_sha256": digest,
         "recovered_file": f"recovered_{tag}.hsc",
         "pixels_file": f"pixels_{tag}.csv",

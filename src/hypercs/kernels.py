@@ -6,7 +6,6 @@ Vectors may be real or complex; everything is computed in double precision.
 import ctypes
 import functools
 import itertools
-import os
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -18,24 +17,17 @@ RANK_RTOL = 1e-10
 # 0.08 and numerically rank-deficient ones below 1e-7
 GRAM_RTOL = 1e-5
 
-PROC_MAPS = "/proc/self/maps"
-# the thread-count (setter, getter) of numpy's, scipy's and a plain OpenBLAS
-OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
+# the decorations a numpy build gives the BLAS/LAPACK names it exports, each
+# a prefix, a suffix and the LAPACK integer type: numpy 2 wheels
+# (scipy-openblas64: scipy_zposv_64_, scipy_openblas_set_num_threads64_),
+# numpy 1.22-1.26 wheels (openblas64_), then 32-bit-integer builds
+# (scipy-openblas32, a plain OpenBLAS or LAPACK)
+SYMBOL_DECORATIONS = (
+    ("scipy_", "64_", np.int64),
+    ("", "64_", np.int64),
+    ("scipy_", "", np.int32),
+    ("", "", np.int32),
 )
-# the LAPACK names a numpy build links, each with its integer type: numpy 2
-# wheels (scipy-openblas64), numpy 1.22-1.26 wheels (openblas64_), then
-# 32-bit-integer builds (scipy-openblas32, a plain LAPACK)
-LAPACK_SYMBOLS = (
-    ("scipy_{}_64_", np.int64),
-    ("{}_64_", np.int64),
-    ("scipy_{}_", np.int32),
-    ("{}_", np.int32),
-)
-# the LAPACK prefix of each dtype character
-LAPACK_PREFIXES = {"f": "s", "d": "d", "F": "c", "D": "z"}
 # ?posv and ?potrs take uplo, n, nrhs, a, lda, b, ldb and info by reference,
 # then uplo's hidden Fortran length, which a gfortran-built routine may use
 # as it hands uplo on.  Every argument is a ctypes object, passed as it is:
@@ -43,31 +35,43 @@ LAPACK_PREFIXES = {"f": "s", "d": "d", "F": "c", "D": "z"}
 # The calls hold the GIL, as each is short.
 _LAPACK_SOLVE = ctypes.PYFUNCTYPE(None)
 _UPLO_LENGTH = ctypes.c_size_t(1)
+# the (posv, potrs) of each dtype character
+CHOLESKY_ROUTINES = {char: ((prefix + "posv_", _LAPACK_SOLVE), (prefix + "potrs_", _LAPACK_SOLVE))
+                     for char, prefix in zip("fdFD", "sdcz")}
+# OpenBLAS's thread count: void set(int), int get(void)
+OPENBLAS_THREADS = (("openblas_set_num_threads", ctypes.PYFUNCTYPE(None, ctypes.c_int)),
+                    ("openblas_get_num_threads", ctypes.PYFUNCTYPE(ctypes.c_int)))
 
 
-def openblas_libraries():
-    """(path, setter, getter) of each loaded OpenBLAS that exports a known pair."""
+@functools.cache
+def numpy_functions(functions):
+    """The (name, ctypes prototype) functions of the BLAS/LAPACK that
+    numpy.linalg links, then their integer type.  Looked up once, through
+    numpy's own library handle, under the first of SYMBOL_DECORATIONS that
+    exports every name; where none does, raises RuntimeError naming each
+    symbol tried, and a failed lookup is not cached."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for prefix, suffix, integer in SYMBOL_DECORATIONS:
+        symbols = [prefix + name + suffix for name, _ in functions]
+        if all(hasattr(lib, symbol) for symbol in symbols):
+            return *(prototype(ctypes.cast(lib[symbol], ctypes.c_void_p).value)
+                     for symbol, (_, prototype) in zip(symbols, functions)), integer
+    tried = ", ".join("/".join(prefix + name + suffix for name, _ in functions)
+                      for prefix, suffix, _ in SYMBOL_DECORATIONS)
+    raise RuntimeError(f"numpy {np.__version__}'s BLAS/LAPACK exports none of {tried}")
+
+
+def openblas_threads():
+    """numpy's OpenBLAS thread-count (setter, getter), a list of one pair, or
+    of none where numpy's library exports no known pair."""
     try:
-        with open(PROC_MAPS, encoding="utf-8", errors="replace") as fh:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()})
-    except OSError:
+        return [numpy_functions(OPENBLAS_THREADS)[:2]]
+    except RuntimeError:
         return []
-    found = []
-    for path in paths:
-        try:  # RTLD_NOLOAD: a library this process has loaded already, or none
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        pairs = [(lib[s], lib[g]) for s, g in OPENBLAS_THREAD_SYMBOLS if hasattr(lib, s) and hasattr(lib, g)]
-        for setter, getter in pairs[:1]:  # void set(int), int get(void)
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            found.append((path, setter, getter))
-    return found
 
 
 def one_blas_thread():
-    """Run every loaded OpenBLAS on one thread; returns the counts it leaves.
+    """Run numpy's OpenBLAS on one thread; returns the counts it leaves.
 
     The solvers' products are too small to gain from a second thread.  The
     setter runs only where the count is not 1: forked pool workers inherit
@@ -75,7 +79,7 @@ def one_blas_thread():
     a restored count starts a spinning thread that slows what comes next.
     """
     counts = []
-    for _, setter, getter in openblas_libraries():
+    for setter, getter in openblas_threads():
         if getter() != 1:
             setter(1)
         counts.append(getter())
@@ -149,21 +153,12 @@ def least_squares(b, y):
     return np.linalg.lstsq(b, y, rcond=RANK_RTOL)[0]
 
 
-@functools.cache
 def _cholesky_routines(dtype):
-    """numpy's LAPACK (posv, potrs) for a dtype, with their integer type,
-    looked up once through the handle of the library numpy.linalg links."""
-    prefix = LAPACK_PREFIXES.get(np.dtype(dtype).char)
-    if prefix is None:
+    """numpy's LAPACK (posv, potrs) for a dtype, with their integer type."""
+    routines = CHOLESKY_ROUTINES.get(np.dtype(dtype).char)
+    if routines is None:
         raise TypeError(f"no LAPACK routines for dtype {np.dtype(dtype)}")
-    lib = ctypes.CDLL(_umath_linalg.__file__)
-    for pattern, integer in LAPACK_SYMBOLS:
-        names = [pattern.format(prefix + routine) for routine in ("posv", "potrs")]
-        if all(hasattr(lib, name) for name in names):
-            return *(_LAPACK_SOLVE(ctypes.cast(lib[name], ctypes.c_void_p).value) for name in names), integer
-    tried = ", ".join(pattern.format(prefix + "posv") for pattern, _ in LAPACK_SYMBOLS)
-    raise RuntimeError(f"numpy {np.__version__}'s LAPACK exports none of {tried}; the greedy solvers "
-                       "need numpy built against a LAPACK under one of these names")
+    return numpy_functions(routines)
 
 
 def _solve_rows(routine, ints, factors, rhs, rows):

@@ -39,7 +39,7 @@ from hypercs.cli import (
     main,
     save_measurements,
 )
-from hypercs.kernels import openblas_libraries
+from hypercs.kernels import openblas_threads
 
 from helpers import write_envi, write_native_f32
 
@@ -592,8 +592,8 @@ class TestBench:
         assert code == EXIT_OK
         for tag in ("gomp_kappa2", "admm_lambda0.1"):
             meta = json.loads((out / f"run_{tag}.json").read_text())
-            # one entry per OpenBLAS found, [] where none is
-            assert meta["blas_threads"] == [1] * len(openblas_libraries())
+            # numpy's count, [] where its library exports no known pair
+            assert meta["blas_threads"] == [1] * len(openblas_threads())
 
     def test_export_bands_needs_three_indexes(self, cube_file, tmp_path):
         code = main(
@@ -890,9 +890,10 @@ class TestScipyLoading:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_greedy_bench_loads_neither_scipy_nor_numpy_ma(self, cube_file, tmp_path, jobs):
         # the greedy least squares calls the LAPACK numpy links, so a process
-        # holds one OpenBLAS; an audit hook, which forked pool workers
-        # inherit, logs each process that unpickles (every worker does) and
-        # each load of scipy or numpy.ma, in the parent or a worker
+        # holds one OpenBLAS, as its memory map shows; an audit hook, which
+        # forked pool workers inherit, logs each process that unpickles
+        # (every worker does) and each load of scipy or numpy.ma, in the
+        # parent or a worker
         found = fresh_python(
             """
             import json, multiprocessing, os, sys
@@ -905,11 +906,16 @@ class TestScipyLoading:
 
             sys.addaudithook(hook)
             from hypercs.cli import main
-            from hypercs.kernels import openblas_libraries
+            from hypercs.kernels import openblas_threads
             assert main(["bench", "--input", cube, "--out", out, "--algo", "gomp,biht,cosamp",
                          "--kappa", "2", "--t-conv", "0", "--max-iter", "50", "--jobs", jobs]) == 0
+            try:
+                with open("/proc/self/maps") as fh:
+                    mapped = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()})
+            except OSError:
+                mapped = None
             print(json.dumps({"pid": os.getpid(), "modules": sorted({"scipy", "numpy.ma"} & sys.modules.keys()),
-                              "threads": [getter() for _, _, getter in openblas_libraries()],
+                              "threads": [getter() for _, getter in openblas_threads()], "openblas": mapped,
                               "fork": multiprocessing.get_start_method() == "fork"}))
             """,
             cube_file, tmp_path / "bench", jobs, tmp_path / "audit.log",
@@ -925,6 +931,9 @@ class TestScipyLoading:
         for algorithm in ("gomp", "biht", "cosamp"):
             record = json.loads((tmp_path / "bench" / f"run_{algorithm}_kappa2.json").read_text())
             assert record["blas_threads"] == [1]
+        if found["openblas"] is None:
+            pytest.skip("no readable /proc/self/maps to count the loaded OpenBLAS libraries")
+        assert len(found["openblas"]) == 1, found["openblas"]
 
 
 class TestEntryPoint:

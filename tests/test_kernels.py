@@ -1,5 +1,7 @@
 """Numerical kernels: soft threshold, top-k selection, least squares."""
 
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,8 +19,8 @@ from hypercs import (
 )
 from hypercs import kernels, solvers
 from hypercs.cli import EXIT_OK, main
-from hypercs.kernels import (GRAM_RTOL, OPENBLAS_THREAD_SYMBOLS, RANK_RTOL, matvecs, one_blas_thread,
-                             openblas_libraries)
+from hypercs.kernels import (GRAM_RTOL, RANK_RTOL, SYMBOL_DECORATIONS, matvecs, one_blas_thread,
+                             openblas_threads)
 from hypercs.solvers import _CosampBlock
 
 from helpers import partial_fourier
@@ -287,8 +289,8 @@ class TestGramLeastSquares:
     def test_a_numpy_without_the_routines_fails_before_any_tile(self, monkeypatch):
         # the zero-pixel block looks the routines up before any tile or
         # worker starts; a failed lookup is not cached
-        monkeypatch.setattr(kernels, "LAPACK_SYMBOLS", (("missing_{}_", np.int64),))
-        kernels._cholesky_routines.cache_clear()
+        monkeypatch.setattr(kernels, "SYMBOL_DECORATIONS", (("missing_", "", np.int64),))
+        kernels.numpy_functions.cache_clear()
         tiles = []
         monkeypatch.setattr(solvers, "_solve_block", lambda *args: tiles.append(args))
         d = partial_fourier(16, 7, 0)
@@ -343,6 +345,7 @@ def random_stack(rng, rows, m, k, dtype):
     return b, b.conj().transpose(0, 2, 1) @ b
 
 
+@pytest.mark.usefixtures("scipy_blas_threads_as_numpy")
 class TestScipyOracle:
     """gram_least_squares and least_squares run on numpy's own LAPACK; each
     result equals, bit for bit, the one scipy's routines give."""
@@ -455,85 +458,104 @@ class TestResidualDelta:
             assert stacked[j] == residual_delta(r[j], r_prev[j])
 
 
-class FakeOpenblas:
-    """A loaded library exporting one thread-count (setter, getter) pair."""
+class FakeLibrary:
+    """A library handle exporting the given names, each a C callback into
+    this object: a thread-count setter and getter share one count, and every
+    other name logs its calls."""
 
-    def __init__(self, threads, pair):
-        self.threads = threads
-        self.set_calls = []
+    def __init__(self, names, threads):
+        self.threads, self.calls = threads, []
+        self.exports = {name: self.callback(name) for name in names}
 
-        def set_num_threads(count):
-            self.set_calls.append(count)
-            self.threads = count
-
-        self.functions = {pair[0]: set_num_threads, pair[1]: lambda: self.threads}
+    def callback(self, name):
+        if "set_num_threads" in name:
+            def set_threads(count):
+                self.calls.append((name, count))
+                self.threads = count
+            return ctypes.CFUNCTYPE(None, ctypes.c_int)(set_threads)
+        if "get_num_threads" in name:
+            return ctypes.CFUNCTYPE(ctypes.c_int)(lambda: self.threads)
+        return ctypes.CFUNCTYPE(None)(lambda: self.calls.append((name,)))
 
     def __getattr__(self, name):
         try:
-            return self.functions[name]
+            return self.__dict__["exports"][name]
         except KeyError:
             raise AttributeError(name) from None
 
     __getitem__ = __getattr__
 
 
-def write_maps(path, libraries):
-    """A /proc/<pid>/maps-style file mapping each library twice."""
-    lines = ["55d0-55d1 r--p 00000000 08:01 11 /usr/bin/python3.11"]
-    for inode, name in enumerate(libraries, start=20):
-        lines.append(f"7f10-7f20 r--p 00000000 08:01 {inode} {name}")
-        lines.append(f"7f20-7f30 r-xp 00010000 08:01 {inode} {name}")
-    lines.append("7ffc-7ffd rw-p 00000000 00:00 0 [stack]")
-    path.write_text("\n".join(lines) + "\n")
+def decorated(name, decorations=SYMBOL_DECORATIONS):
+    return [prefix + name + suffix for prefix, suffix, _ in decorations]
+
+
+@pytest.fixture
+def fake_numpy_library(monkeypatch):
+    """Makes ctypes.CDLL open a FakeLibrary of the given names, logging each
+    path opened; the lookup cache is cleared on both sides of the test, so
+    no fake function outlives it."""
+    opened = []
+
+    def install(names, threads=2):
+        library = FakeLibrary(names, threads)
+        monkeypatch.setattr(kernels.ctypes, "CDLL", lambda path: opened.append(path) or library)
+        return library, opened
+
+    kernels.numpy_functions.cache_clear()
+    yield install
+    kernels.numpy_functions.cache_clear()
 
 
 class TestOneBlasThread:
-    def test_sets_only_libraries_not_on_one_thread(self, tmp_path, monkeypatch):
-        libraries = {
-            "/site/numpy.libs/libscipy_openblas64_-a1.so": FakeOpenblas(2, OPENBLAS_THREAD_SYMBOLS[0]),
-            "/site/scipy.libs/libscipy_openblas-b2.so": FakeOpenblas(1, OPENBLAS_THREAD_SYMBOLS[1]),
-            "/usr/lib/libopenblas.so.0": FakeOpenblas(4, OPENBLAS_THREAD_SYMBOLS[2]),
-            "/usr/lib/libopenblas_nothreads.so": FakeOpenblas(3, ("set_other", "get_other")),
-        }
-        maps = tmp_path / "maps"
-        write_maps(maps, [*libraries, "/usr/lib/libopenblas_gone.so (deleted)"])
+    @pytest.mark.parametrize("winner", range(len(SYMBOL_DECORATIONS)))
+    def test_the_first_decoration_that_exports_every_name_wins(self, fake_numpy_library, winner):
+        # each decoration before the winner exports the setter and posv
+        # alone, and each from the winner on exports all four names
+        names = [*decorated("openblas_set_num_threads"), *decorated("zposv_"),
+                 *decorated("openblas_get_num_threads", SYMBOL_DECORATIONS[winner:]),
+                 *decorated("zpotrs_", SYMBOL_DECORATIONS[winner:])]
+        library, _ = fake_numpy_library(names)
+        assert one_blas_thread() == [1]
+        posv, potrs, integer = kernels._cholesky_routines(np.complex128)
+        posv()
+        potrs()
+        prefix, suffix, expected = SYMBOL_DECORATIONS[winner]
+        assert integer is expected
+        assert library.calls == [(f"{prefix}openblas_set_num_threads{suffix}", 1),
+                                 (f"{prefix}zposv_{suffix}",), (f"{prefix}zpotrs_{suffix}",)]
 
-        def cdll(path, mode):
-            if path not in libraries:
-                raise OSError(f"{path}: cannot open shared object file")
-            return libraries[path]
-
-        monkeypatch.setattr(kernels, "PROC_MAPS", str(maps))
-        monkeypatch.setattr(kernels.ctypes, "CDLL", cdll)
-        # sorted by path: numpy's, scipy's, then the plain library
-        assert one_blas_thread() == [1, 1, 1]
-        calls = [lib.set_calls for lib in libraries.values()]
-        assert calls == [[1], [], [1], []]
-        assert libraries["/usr/lib/libopenblas_nothreads.so"].threads == 3
-        # a second call finds every count at one and sets nothing
-        assert one_blas_thread() == [1, 1, 1]
-        assert [lib.set_calls for lib in libraries.values()] == calls
-
-    @pytest.mark.parametrize("maps_text", [None, "", "7f10-7f20 r-xp 00000000 08:01 9 /usr/lib/libc.so.6\n"])
-    def test_unreadable_or_openblas_free_maps_is_a_no_op(self, tmp_path, monkeypatch, maps_text):
-        maps = tmp_path / "maps"
-        if maps_text is not None:
-            maps.write_text(maps_text)
-
-        def cdll(path, mode):
-            raise AssertionError(f"opened {path}")
-
-        monkeypatch.setattr(kernels, "PROC_MAPS", str(maps))
-        monkeypatch.setattr(kernels.ctypes, "CDLL", cdll)
-        assert openblas_libraries() == []
+    def test_no_matching_decoration_is_a_no_op(self, fake_numpy_library):
+        # a setter and a getter, but under different decorations
+        library, _ = fake_numpy_library(["scipy_openblas_set_num_threads64_", "openblas_get_num_threads64_"])
+        assert openblas_threads() == []
         assert one_blas_thread() == []
+        assert library.calls == [] and library.threads == 2
 
-    def test_a_bench_command_leaves_every_library_on_one_thread(self, tmp_path):
-        libraries = openblas_libraries()
-        if not libraries:
-            pytest.skip("no loaded OpenBLAS exports a known thread-count pair")
-        for _, setter, _ in libraries:
-            setter(2)
+    def test_the_lapack_error_names_every_symbol_tried(self, fake_numpy_library):
+        _, opened = fake_numpy_library(["zposv_64_", "scipy_zpotrs_"])
+        for attempt in (1, 2):
+            with pytest.raises(RuntimeError) as error:
+                kernels._cholesky_routines(np.complex128)
+            for name in decorated("zposv_") + decorated("zpotrs_"):
+                assert name in str(error.value)
+            # a failed lookup is not cached: each attempt opens the handle
+            assert len(opened) == attempt
+
+    def test_repeated_pins_open_the_handle_once(self, fake_numpy_library):
+        library, opened = fake_numpy_library(
+            ["scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"], threads=3)
+        for _ in range(3):
+            assert one_blas_thread() == [1]
+        assert opened == [kernels._umath_linalg.__file__]
+        assert library.calls == [("scipy_openblas_set_num_threads64_", 1)]
+
+    def test_a_bench_command_leaves_numpy_on_one_thread(self, tmp_path):
+        threads = openblas_threads()
+        if not threads:
+            pytest.skip("numpy's library exports no known thread-count pair")
+        [(setter, getter)] = threads
+        setter(2)
         cube_file = tmp_path / "cube.hsc"
         save_cube(generate_synthetic_cube(4, 3, 24, 2, seed=5), cube_file)
         code = main(
@@ -541,4 +563,4 @@ class TestOneBlasThread:
              "--algo", "fista", "--lambda", "0.1", "--t-conv", "0", "--max-iter", "50"]
         )
         assert code == EXIT_OK
-        assert [getter() for _, _, getter in openblas_libraries()] == [1] * len(libraries)
+        assert getter() == 1

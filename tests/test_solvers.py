@@ -798,6 +798,7 @@ class TestGreedyTiles:
         assert (top == candidates).all(axis=1)[10:20].all()
         assert x.tobytes() == block.refit(top, y).tobytes()
 
+    @pytest.mark.usefixtures("scipy_blas_threads_as_numpy")
     def test_each_row_of_a_stacked_refit_is_its_refit_alone(self, scene):
         # rows of 1, 10 and 48 atoms, 14 of 48 so that their group spans
         # three REFIT_ENTRIES chunks (6, 6 and 2 rows); in the 48-atom group
