@@ -48,9 +48,9 @@ class SolverConfig:
     """Shared solver parameters.
 
     lam            l1 weight of the lasso objective (fista, admm)
-    kappa          target sparsity of the greedy solvers
-    atoms_per_iter support indexes gomp adds per iteration; defaults to
-                   max(1, kappa // 5)
+    kappa          target sparsity of the greedy solvers, in entries
+    atoms_per_iter support indexes (or conjugate pairs) gomp adds per
+                   iteration; defaults to max(1, kappa // 5)
     mu             gradient step factor of biht; scales how many atoms the
                    step admits beyond the strongest residual projection,
                    which is always a candidate
@@ -287,6 +287,11 @@ def _mark(mask, indexes):
     return mask
 
 
+def _pick(v, count):
+    """Mask of the count largest-magnitude entries of each row of v."""
+    return _mark(np.zeros(v.shape, dtype=bool), argmax_k(v, count))
+
+
 def _prune(x, candidates, kappa):
     """Mask of the kappa largest-magnitude candidate entries of each row of
     x, all of them where a row has at most kappa candidates.  One stable
@@ -294,6 +299,39 @@ def _prune(x, candidates, kappa):
     ties toward the lowest index as argmax_k does."""
     order = np.argsort(np.where(candidates, -np.abs(x), np.inf), axis=-1, kind="stable")
     return _mark(np.zeros_like(candidates), order[:, :kappa]) & candidates
+
+
+class _Pairs:
+    """The conjugate pairs {k, -k mod n} of n bins, which the greedy rows of
+    a real spectrum pick and prune whole.  Pair k is held by its half bin
+    k <= n // 2, ranked by |v_k| + |v_(n-k)| and counted as 2 entries, or 1
+    where it is its own mirror (bin 0 and, for even n, bin n / 2); every
+    mask they return is closed under k -> -k mod n."""
+
+    def __init__(self, n):
+        k = np.arange(n // 2 + 1)
+        self.mirror = -k % n
+        self.sizes = np.where(k == self.mirror, 1, 2)
+        self.fold = np.minimum(np.arange(n), -np.arange(n) % n)  # the half bin of each bin
+
+    def scores(self, v):
+        return np.abs(v[:, : self.mirror.size]) + np.abs(v[:, self.mirror])
+
+    def pick(self, v, count):
+        """Mask of the count strongest pairs of each row of v."""
+        return _pick(self.scores(v), count)[:, self.fold]
+
+    def prune(self, x, candidates, kappa):
+        """Mask of the strongest candidate pairs of each row of x, taken in
+        rank order while they hold at most kappa entries; ties go toward the
+        lowest half bin, as in _prune.  candidates must be closed."""
+        half = candidates[:, : self.mirror.size]
+        order = np.argsort(np.where(half, -self.scores(x), np.inf), axis=-1, kind="stable")
+        ranked = np.take_along_axis(half, order, axis=-1)
+        ranked &= np.cumsum(np.where(ranked, self.sizes[order], 0), axis=-1) <= kappa
+        kept = np.zeros_like(half)
+        np.put_along_axis(kept, order, ranked, axis=-1)
+        return kept[:, self.fold]
 
 
 class _GreedyBlock:
@@ -308,9 +346,16 @@ class _GreedyBlock:
     block exactly what it computes alone.  A row whose candidate support
     outgrows the m measurements halts and keeps its last iterate.
     Subclasses pick the candidates and may override the fit.
+
+    Where a subclass takes_pairs, float64 rows of a dictionary with a real
+    form (routed as _lasso_form routes them) pick and prune whole conjugate
+    pairs (_Pairs) once kappa >= 2: a real spectrum's coefficients come in
+    pairs, and a budget of 1 holds no pair.  Every other call picks and
+    prunes atoms.  Either way the refit is the same complex least squares.
     """
 
     unfold = staticmethod(np.asarray)
+    takes_pairs = False
 
     def __init__(self, y, dictionary, config):
         self.check(config, dictionary.m, dictionary.n)
@@ -322,6 +367,11 @@ class _GreedyBlock:
         self.config = config
         self.x = np.zeros((len(y), dictionary.n), dtype=np.complex128)
         self.support = np.zeros(self.x.shape, dtype=bool)
+        self.pairs = None
+        self.pick, self.prune = _pick, _prune
+        if self.takes_pairs and config.kappa >= 2 and y.dtype == np.float64 and dictionary.real_form is not None:
+            self.pairs = _Pairs(dictionary.n)
+            self.pick, self.prune = self.pairs.pick, self.pairs.prune
 
     @staticmethod
     def check(config, m, n):
@@ -371,7 +421,7 @@ class _GreedyBlock:
         """Least squares on the candidates, pruned to the kappa strongest
         entries: (iterates, kept supports)."""
         x = self.refit(candidates, y)
-        kept = _prune(x, candidates, self.config.kappa)
+        kept = self.prune(x, candidates, self.config.kappa)
         return np.where(kept, x, 0), kept
 
     @property
@@ -386,20 +436,24 @@ class _GompBlock(_GreedyBlock):
     """Generalized orthogonal matching pursuit with a kappa-prune re-solve.
 
     Grows the accumulated support by the atoms_per_iter strongest residual
-    projections each iteration, then re-fits on the kappa strongest entries
-    of the scattered least-squares solution.
+    projections (atoms, or pairs) each iteration, then re-fits on the kappa
+    strongest entries of the scattered least-squares solution: on atoms,
+    ranked over all n entries; on pairs, over the candidates.
     """
+
+    takes_pairs = True
 
     def candidates(self, p):
         # 1. strongest residual projections extend the accumulated support
-        return _mark(self.support.copy(), argmax_k(p, self.config.atoms_per_iter))
+        return self.support | self.pick(p, self.config.atoms_per_iter)
 
     def fit(self, candidates, y):
-        # 2. least squares on the accumulated atoms
+        # 2. least squares on the accumulated support
         x = self.refit(candidates, y)
         # 3. prune to the kappa strongest entries and re-fit on those; a
         #    row whose prune kept its support has its re-fit already
-        top = _mark(np.zeros_like(candidates), argmax_k(x, self.config.kappa))
+        kappa = self.config.kappa
+        top = self.pairs.prune(x, candidates, kappa) if self.pairs else _pick(x, kappa)
         redo = (top != candidates).any(axis=1)
         x[redo] = self.refit(top[redo], y[redo])
         return x, candidates
@@ -413,14 +467,22 @@ class _BihtBlock(_GreedyBlock):
     the strongest residual projection argmax |A^H r|.  That last atom keeps
     the support moving whenever the residual is nonzero, whatever mu is;
     mu scales how many more atoms the gradient step admits.  Least squares
-    on the candidates is pruned back to the kappa strongest entries.
+    on the candidates is pruned back to the kappa strongest entries.  On
+    pairs, the gradient step gives its strongest pairs holding at most kappa
+    entries, and the projection its strongest pair.
     """
+
+    takes_pairs = True
 
     def candidates(self, g):
         # 1. top entries of the gradient step + current support + the
         #    strongest residual projection
         u = self.x + self.config.mu * g
-        return _mark(_mark(self.x != 0, argmax_k(u, self.config.kappa)), argmax_k(g, 1))
+        if self.pairs:
+            current = self.support | self.pairs.prune(u, np.ones_like(self.support), self.config.kappa)
+        else:
+            current = (self.x != 0) | _pick(u, self.config.kappa)
+        return current | self.pick(g, 1)
 
 
 class _CosampBlock(_GreedyBlock):
@@ -437,7 +499,7 @@ class _CosampBlock(_GreedyBlock):
         _GreedyBlock.check(config, m, n)
 
     def candidates(self, p):
-        return _mark(self.support.copy(), argmax_k(p, 2 * self.config.kappa))
+        return self.support | _pick(p, 2 * self.config.kappa)
 
 
 @dataclass
@@ -650,7 +712,8 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     Rows are float64, or complex128 where the measurements' dtype is complex, whatever their
     values.  On float64 rows of a dictionary with a real form, fista and admm iterate on half
     spectra with real products and return exactly conjugate-symmetric vectors, the complex
-    path's iterates to round-off; that path serves every other call.
+    path's iterates to round-off; that path serves every other call.  On such rows gomp and
+    biht pick and prune whole conjugate pairs from kappa 2 on (_GreedyBlock).
     """
     if algorithm not in SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")

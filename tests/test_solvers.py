@@ -1,6 +1,7 @@
 """Solver behavior: configs, stop rule, closed forms, recovery, cube runs."""
 
 import functools
+import hashlib
 import os
 import tracemalloc
 
@@ -25,9 +26,9 @@ from hypercs import (
     recover_cube,
     stop_check,
 )
-from hypercs.kernels import argmax_k, least_squares, one_blas_thread, soft_threshold
-from hypercs.solvers import (ADMM_MU, ADMM_TAU, REFIT_ENTRIES, _AdmmBlock, _CosampBlock, _FistaBlock, _GompBlock, _prune,
-                             _real_row_dots, _solve_block)
+from hypercs.kernels import argmax_k, gram_least_squares, least_squares, matvecs, one_blas_thread, soft_threshold
+from hypercs.solvers import (ADMM_MU, ADMM_TAU, REFIT_ENTRIES, _AdmmBlock, _BihtBlock, _CosampBlock, _FistaBlock,
+                             _GompBlock, _Pairs, _prune, _real_row_dots, _solve_block)
 
 from helpers import desk_scene, partial_fourier, planted_instance
 
@@ -680,7 +681,8 @@ class TestHalfSpectrum:
         assert cube.reshape(x.shape).tobytes() == x.tobytes()
         assert stats.iterations.tolist() == expected.iterations.tolist()
 
-    @pytest.mark.parametrize("name", GREEDY_SOLVERS)
+    # gomp and biht take conjugate pairs on float64 rows: TestConjugatePairs
+    @pytest.mark.parametrize("name", ["cosamp"])
     def test_greedy_results_do_not_depend_on_the_dtype(self, name):
         d, meas = desk_scene(16, 16, 128, 8, 2, 0.01)
         for kappa in (8, 16):
@@ -690,6 +692,23 @@ class TestHalfSpectrum:
             assert real.tobytes() == cube.tobytes()
             for field in ("iterations", "converged", "final_delta", "failed_at"):
                 assert getattr(real_stats, field).tobytes() == getattr(stats, field).tobytes()
+
+    @pytest.mark.parametrize("name", ["gomp", "biht"])
+    def test_greedy_pairs_follow_the_dtype(self, name):
+        # the same values take pairs as float64 rows and atoms as complex
+        # rows: only the first close every support, in fewer iterations
+        d, meas = desk_scene(16, 16, 128, 8, 2, 0.01)
+        n = d.n
+        for kappa in (8, 16):
+            cfg = SolverConfig(kappa=kappa, time_limit=None, max_iter=200)
+            real, real_stats = recover_cube(meas, d, cfg, name)
+            cube, stats = recover_cube(meas.astype(complex), d, cfg, name)
+            real, cube = real.reshape(-1, n) != 0, cube.reshape(-1, n) != 0
+            assert (real == real[:, -np.arange(n) % n]).all()
+            assert (np.count_nonzero(real, axis=1) <= kappa).all()
+            assert real_stats.total_iterations < stats.total_iterations
+            if kappa == 16:
+                assert (cube != cube[:, -np.arange(n) % n]).any(axis=1).sum() > 200
 
     @pytest.mark.parametrize("name", CONVEX_SOLVERS)
     @pytest.mark.parametrize("kind", ["identity", "gaussian"])
@@ -753,16 +772,23 @@ class TestGreedyTiles:
         # slows the 200-iteration pixel's small products a hundredfold
         one_blas_thread()
         d, meas = desk_scene(16, 16, 128, 8, 2, 0.01)
-        # row 4 holds gomp's 11-iteration pixel, row 14 cosamp's
+        # row 4 holds gomp's 11-iteration pixel on atoms, row 14 cosamp's
         # 200-iteration pixel at kappa 16 and rows 12-15 its 3- and
         # 4-iteration ones
         return d, meas[[4, 12, 13, 14, 15]]
 
     # cosamp kappa 16: candidate sets of 32 to 48 atoms; cosamp kappa 18:
-    # up to 54 > m, so some columns halt while others run on
-    @pytest.mark.parametrize("name, kappa", [("cosamp", 16), ("gomp", 8), ("biht", 8), ("cosamp", 18)])
-    def test_every_column_matches_its_single_pixel_solve(self, scene, name, kappa):
+    # up to 54 > m, so some columns halt while others run on; gomp and biht
+    # take atoms on complex rows and pairs on float64 rows
+    @pytest.mark.parametrize(
+        "name, kappa, dtype",
+        [("cosamp", 16, float), ("gomp", 8, float), ("biht", 8, float), ("cosamp", 18, float),
+         ("gomp", 8, complex), ("biht", 8, complex)],
+        ids=["cosamp-16", "gomp-8", "biht-8", "cosamp-18", "gomp-8-complex", "biht-8-complex"],
+    )
+    def test_every_column_matches_its_single_pixel_solve(self, scene, name, kappa, dtype):
         d, meas = scene
+        meas = meas.astype(dtype)
         cfg = SolverConfig(kappa=kappa, time_limit=None, max_iter=200)
         cube, stats = recover_cube(meas, d, cfg, name)
         halted = ~stats.converged & (stats.iterations < cfg.max_iter)
@@ -781,9 +807,10 @@ class TestGreedyTiles:
     def test_gomp_skips_only_a_refit_that_repeats_the_first(self, scene):
         # rows of 3, 4 and 5 accumulated atoms at kappa 4: only a 4-atom row
         # whose prune keeps it skips the second solve, and every row's
-        # iterate is the bytes of refitting on its kappa strongest atoms
+        # iterate is the bytes of refitting on its kappa strongest atoms;
+        # complex rows take atoms
         d, meas = scene
-        y = np.ascontiguousarray(meas.reshape(-1, d.m)[:30])
+        y = np.ascontiguousarray(meas.reshape(-1, d.m)[:30], dtype=complex)
         block = _GompBlock(y, d, SolverConfig(kappa=4, time_limit=None))
         rng = np.random.default_rng(5)
         candidates = np.zeros((30, d.n), dtype=bool)
@@ -796,6 +823,37 @@ class TestGreedyTiles:
         for row, values in zip(top, first):
             row[argmax_k(values, 4)] = True
         assert (top == candidates).all(axis=1)[10:20].all()
+        assert x.tobytes() == block.refit(top, y).tobytes()
+
+    def test_gomp_pairs_skip_only_a_refit_that_repeats_the_first(self, scene):
+        # float64 rows of 1, 2 and 3 accumulated pairs at kappa 4: the rows
+        # of 1 and 2 pairs keep them and skip the second solve, a row of 3
+        # is re-fit on the 2 strongest, and every row's iterate is the bytes
+        # of refitting on its pruned support
+        d, meas = scene
+        y = np.ascontiguousarray(meas.reshape(-1, d.m)[:30])
+        block = _GompBlock(y, d, SolverConfig(kappa=4, time_limit=None))
+        rng = np.random.default_rng(5)
+        candidates = np.zeros((30, d.n), dtype=bool)
+        for row, size in zip(candidates, np.repeat([1, 2, 3], 10)):
+            bins = rng.choice(np.arange(1, d.n // 2), size=size, replace=False)
+            row[bins] = row[d.n - bins] = True
+        refits = []
+
+        def refit(supports, y, refit=block.refit):
+            refits.append(len(supports))
+            return refit(supports, y)
+
+        block.refit = refit
+        x, kept = block.fit(candidates, y)
+        np.testing.assert_array_equal(kept, candidates)
+        assert refits == [30, 10]
+        top = np.zeros_like(candidates)
+        for row, values, cand in zip(top, x, candidates):
+            bins = np.flatnonzero(cand[: d.n // 2])
+            strongest = bins[argmax_k(np.abs(values[bins]) + np.abs(values[d.n - bins]), min(2, bins.size))]
+            row[strongest] = row[d.n - strongest] = True
+        np.testing.assert_array_equal(x != 0, top)
         assert x.tobytes() == block.refit(top, y).tobytes()
 
     @pytest.mark.usefixtures("scipy_blas_threads_as_numpy")
@@ -890,3 +948,147 @@ class TestGreedyTiles:
                 support = np.flatnonzero(cand)
                 expected = support[argmax_k(row[support], min(kappa, support.size))]
                 np.testing.assert_array_equal(np.flatnonzero(keep), expected)
+
+
+# SHA-256 of the complex-typed greedy results on desk-greedy seed 1 (kappa 8,
+# then 16: each cube's bytes, then each stats field's), as computed before
+# gomp and biht took pairs on float64 rows.  Bytes depend on the BLAS/LAPACK
+# arithmetic, so they are compared only where the products and refit that
+# give ARITHMETIC_PIN give the bytes they gave then.
+ATOM_PATH_PINS = {
+    "gomp": "f31d34bac053ec62392952a2c32517676b4a9fd14b8b751fc075b4ffd99f74d5",
+    "biht": "a4dc245d1eecfa1616134328b9407c554e2d33971bc9b77e368453fcbd6a32f8",
+    "cosamp": "a449008fce5c8fbdc0484e03d84fbe50427e3cb23a9e2210d996e406d4b5d8f9",
+}
+ARITHMETIC_PIN = "31a6d42bfcc9f3ed5698b9403445f070376966a81b6ed9c1efa98ac1f370ba12"
+
+
+class TestConjugatePairs:
+    """gomp and biht on float64 rows of a DFT row selection pick and prune
+    whole conjugate pairs from kappa 2 on; complex rows, kappa 1 and every
+    cosamp call take atoms.  Rows of a desk-greedy-shaped scene (16x16x128,
+    kappa_true 8, seed 1): m = 51, n = 128."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        one_blas_thread()
+        return desk_scene(16, 16, 128, 8, 1, 0.01)
+
+    def test_pair_prune_keeps_the_strongest_candidate_pairs_within_kappa(self):
+        # against a per-row walk down the ranked candidate pairs, for odd n
+        # (one self-paired bin) and even n (two)
+        rng = np.random.default_rng(4)
+        for n in (15, 16):
+            pairs, mirror = _Pairs(n), -np.arange(n) % n
+            x = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
+            x[::3] = np.round(x[::3].real)  # ties among small integers, exact zeros
+            candidates = rng.uniform(size=x.shape) < rng.uniform(0.05, 0.9, size=(40, 1))
+            candidates[0] = False
+            candidates[0, 0] = True  # a lone self-paired bin
+            candidates |= candidates[:, mirror]
+            for kappa in (2, 3, 5, n):
+                kept = pairs.prune(x, candidates, kappa)
+                for row, cand, keep in zip(x, candidates, kept):
+                    bins = np.flatnonzero(cand[: n // 2 + 1])
+                    scores = np.abs(row[bins]) + np.abs(row[mirror[bins]])
+                    expected, held = np.zeros(n, dtype=bool), 0
+                    for k in bins[np.argsort(-scores, kind="stable")]:
+                        held += 1 if k == mirror[k] else 2
+                        if held > kappa:
+                            break
+                        expected[[k, mirror[k]]] = True
+                    np.testing.assert_array_equal(keep, expected)
+
+    @pytest.mark.parametrize("name", ["gomp", "biht"])
+    @pytest.mark.parametrize("kappa", [8, 16])
+    def test_closed_supports_and_pixels_that_are_their_lone_solves(self, scene, name, kappa):
+        d, meas = scene
+        n, y = d.n, meas.reshape(-1, d.m)
+        cfg = SolverConfig(kappa=kappa, time_limit=None, max_iter=200)
+        cube, stats = recover_cube(meas, d, cfg, name)
+        x = cube.reshape(-1, n)
+        support = x != 0
+        assert (support == support[:, -np.arange(n) % n]).all()
+        assert (np.count_nonzero(support, axis=1) <= kappa).all()
+        # every pixel converged, and to a fit, not a stall
+        assert stats.n_converged == stats.n_pixels
+        residual = np.linalg.norm(y - x @ d.matrix.T, axis=1)
+        assert (residual <= 1e-6 * np.linalg.norm(y, axis=1)).all()
+        for index in range(0, stats.n_pixels, 5):
+            ix, iy = divmod(index, meas.shape[1])
+            single = SOLVERS[name](meas[ix, iy], d, cfg)
+            assert cube[ix, iy].tobytes() == single.x.tobytes()
+            assert stats.iterations[index] == single.iterations
+            assert stats.converged[index] == single.converged
+            assert stats.final_delta[index] == single.final_delta
+
+    @pytest.mark.parametrize("kappa, per_iter", [(8, 1), (16, 3)])
+    def test_gomp_picks_atoms_per_iter_pairs(self, scene, kappa, per_iter):
+        # G picks are G pairs or self-paired bins, never both halves of one pair
+        d, meas = scene
+        n, y = d.n, np.ascontiguousarray(meas.reshape(-1, d.m))
+        block = _GompBlock(y, d, SolverConfig(kappa=kappa, atoms_per_iter=per_iter))
+        picked = block.candidates(matvecs(block.ah, y))
+        assert (picked == picked[:, -np.arange(n) % n]).all()
+        assert (np.count_nonzero(picked[:, : n // 2 + 1], axis=1) == per_iter).all()
+        assert (np.count_nonzero(picked, axis=1) > per_iter).all()
+
+    @pytest.mark.parametrize("kappa", [8, 16])
+    def test_biht_candidates_are_whole_pairs(self, scene, kappa):
+        # from x = 0: the gradient step's strongest pairs within kappa entries
+        # and the strongest projection's pair
+        d, meas = scene
+        n, y = d.n, np.ascontiguousarray(meas.reshape(-1, d.m))
+        block = _BihtBlock(y, d, SolverConfig(kappa=kappa))
+        g = matvecs(block.ah, y)
+        candidates = block.candidates(g)
+        h = n // 2 + 1
+        assert (candidates == candidates[:, -np.arange(n) % n]).all()
+        counts = np.count_nonzero(candidates, axis=1)
+        assert ((kappa - 1 <= counts) & (counts <= kappa + 2)).all()
+        strongest = argmax_k(np.abs(g[:, :h]) + np.abs(g[:, -np.arange(h) % n]), 1)
+        assert np.take_along_axis(candidates, strongest, axis=1).all()
+
+    @pytest.mark.parametrize("name", GREEDY_SOLVERS)
+    def test_complex_rows_keep_the_atom_path_bit_for_bit(self, scene, name):
+        d, meas = scene
+        y = meas.reshape(-1, d.m).astype(complex)
+        atoms = np.arange(16).reshape(2, 8)
+        b = np.ascontiguousarray(d.matrix.T)[atoms].transpose(0, 2, 1)
+        s, _ = gram_least_squares(b, d.gram[atoms[:, :, None], atoms[:, None, :]], y[:2])
+        if hashlib.sha256(matvecs(d.matrix.conj().T, y).tobytes() + s.tobytes()).hexdigest() != ARITHMETIC_PIN:
+            pytest.skip("this BLAS/LAPACK gives other bytes than the one the pins were computed on")
+        digest = hashlib.sha256()
+        for kappa in (8, 16):
+            cfg = SolverConfig(kappa=kappa, time_limit=None, max_iter=200)
+            cube, stats = recover_cube(meas.astype(complex), d, cfg, name)
+            digest.update(cube.tobytes())
+            for field in ("iterations", "converged", "final_delta", "failed_at"):
+                digest.update(getattr(stats, field).tobytes())
+        assert digest.hexdigest() == ATOM_PATH_PINS[name]
+
+    @pytest.mark.parametrize("name", ["gomp", "biht"])
+    def test_kappa_one_takes_atoms(self, name):
+        # a pair holds 2 entries, more than a budget of 1, so a pair prune
+        # would keep nothing and report x = 0 as converged
+        d, meas = desk_scene(8, 8, 64, 4, 1, 0.01)
+        assert meas.reshape(-1, d.m).any(axis=1).all()
+        cfg = SolverConfig(kappa=1, time_limit=None, max_iter=50)
+        cube, stats = recover_cube(meas, d, cfg, name)
+        x = cube.reshape(-1, d.n)
+        assert not (stats.converged & ~x.any(axis=1)).any()
+        assert (np.count_nonzero(x, axis=1) == 1).all()
+        atoms, atom_stats = recover_cube(meas.astype(complex), d, cfg, name)
+        assert cube.tobytes() == atoms.tobytes()
+        assert stats.iterations.tolist() == atom_stats.iterations.tolist()
+
+    @pytest.mark.parametrize("name", ["gomp", "biht"])
+    def test_other_dictionaries_take_atoms(self, name):
+        rng = np.random.default_rng(9)
+        d = Dictionary.from_matrix(rng.standard_normal((12, 24)))
+        assert d.real_form is None
+        meas = rng.standard_normal((2, 3, d.m))
+        cfg = SolverConfig(kappa=4, time_limit=None, max_iter=50)
+        cube, _ = recover_cube(meas, d, cfg, name)
+        atoms, _ = recover_cube(meas.astype(complex), d, cfg, name)
+        assert cube.tobytes() == atoms.tobytes()
