@@ -452,28 +452,22 @@ def _solver_configs(settings, algo):
 # ------------------------------------------------------------ commands
 
 
-def _sparsify(settings, check=None):
-    return run_sparsify(
+def cmd_sparsify(settings, check=None):
+    run_sparsify(
         settings.require("input"),
         settings.require("out"),
         **settings.given(["t", "psnr_peak"]),
         check=check,
     )
-
-
-def cmd_sparsify(args):
-    _sparsify(Settings(args))
     return EXIT_OK
 
 
-def cmd_compress(args):
-    settings = Settings(args)
+def cmd_compress(settings):
     run_compress(settings.require("input"), **settings.given(["ratio", "seed"]))
     return EXIT_OK
 
 
-def cmd_recover(args):
-    settings = Settings(args)
+def cmd_recover(settings):
     algos = settings.require("algo")
     if len(algos) != 1:
         raise ConfigError("recover takes exactly one algorithm")
@@ -484,14 +478,12 @@ def cmd_recover(args):
     return EXIT_PARTIAL if stats.n_failed else EXIT_OK
 
 
-def cmd_report(args):
-    settings = Settings(args)
+def cmd_report(settings):
     run_report(settings.require("input"), settings.get("out"), **settings.given(["psnr_peak"]))
     return EXIT_OK
 
 
-def cmd_bench(args):
-    settings = Settings(args)
+def cmd_bench(settings):
     out_dir = Path(settings.require("out"))
     # every option is parsed before the first stage writes a file
     runs = [(algo, config) for algo in settings.require("algo")
@@ -509,7 +501,7 @@ def cmd_bench(args):
         if bands is not None and not all(0 <= band < n for band in bands):
             raise ConfigError(f"export band indexes must lie in [0, {n})")
 
-    _sparsify(settings, check_bands)
+    cmd_sparsify(settings, check_bands)
     run_compress(out_dir, **compress)
     failed = 0
     for algo, config in runs:
@@ -567,7 +559,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     one_blas_thread()
     try:
-        return args.func(args)
+        return args.func(Settings(args))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

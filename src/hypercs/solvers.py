@@ -351,7 +351,8 @@ class _GreedyBlock:
     form (routed as _lasso_form routes them) pick and prune whole conjugate
     pairs (_Pairs) once kappa >= 2: a real spectrum's coefficients come in
     pairs, and a budget of 1 holds no pair.  Every other call picks and
-    prunes atoms.  Either way the refit is the same complex least squares.
+    prunes atoms.  Subclasses select through self.pick and self.prune
+    alone.  Either way the refit is the same complex least squares.
     """
 
     unfold = staticmethod(np.asarray)
@@ -367,11 +368,12 @@ class _GreedyBlock:
         self.config = config
         self.x = np.zeros((len(y), dictionary.n), dtype=np.complex128)
         self.support = np.zeros(self.x.shape, dtype=bool)
-        self.pairs = None
+        self.pairs = (self.takes_pairs and config.kappa >= 2 and y.dtype == np.float64
+                      and dictionary.real_form is not None)
         self.pick, self.prune = _pick, _prune
-        if self.takes_pairs and config.kappa >= 2 and y.dtype == np.float64 and dictionary.real_form is not None:
-            self.pairs = _Pairs(dictionary.n)
-            self.pick, self.prune = self.pairs.pick, self.pairs.prune
+        if self.pairs:
+            pairs = _Pairs(dictionary.n)
+            self.pick, self.prune = pairs.pick, pairs.prune
 
     @staticmethod
     def check(config, m, n):
@@ -451,9 +453,10 @@ class _GompBlock(_GreedyBlock):
         # 2. least squares on the accumulated support
         x = self.refit(candidates, y)
         # 3. prune to the kappa strongest entries and re-fit on those; a
-        #    row whose prune kept its support has its re-fit already
+        #    row whose prune kept its support has its re-fit already; atoms
+        #    rank all n entries, the prune bug C7's timing rests on (ROADMAP)
         kappa = self.config.kappa
-        top = self.pairs.prune(x, candidates, kappa) if self.pairs else _pick(x, kappa)
+        top = self.prune(x, candidates, kappa) if self.pairs else self.pick(x, kappa)
         redo = (top != candidates).any(axis=1)
         x[redo] = self.refit(top[redo], y[redo])
         return x, candidates
@@ -478,11 +481,7 @@ class _BihtBlock(_GreedyBlock):
         # 1. top entries of the gradient step + current support + the
         #    strongest residual projection
         u = self.x + self.config.mu * g
-        if self.pairs:
-            current = self.support | self.pairs.prune(u, np.ones_like(self.support), self.config.kappa)
-        else:
-            current = (self.x != 0) | _pick(u, self.config.kappa)
-        return current | self.pick(g, 1)
+        return self.support | self.prune(u, np.ones_like(self.support), self.config.kappa) | self.pick(g, 1)
 
 
 class _CosampBlock(_GreedyBlock):
@@ -499,7 +498,7 @@ class _CosampBlock(_GreedyBlock):
         _GreedyBlock.check(config, m, n)
 
     def candidates(self, p):
-        return self.support | _pick(p, 2 * self.config.kappa)
+        return self.support | self.pick(p, 2 * self.config.kappa)
 
 
 @dataclass

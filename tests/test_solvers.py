@@ -1049,6 +1049,27 @@ class TestConjugatePairs:
         strongest = argmax_k(np.abs(g[:, :h]) + np.abs(g[:, -np.arange(h) % n]), 1)
         assert np.take_along_axis(candidates, strongest, axis=1).all()
 
+    @pytest.mark.parametrize("kappa", [4, 8])
+    def test_a_block_takes_pairs_through_takes_pairs_alone(self, scene, kappa):
+        # the block's __init__ decides the selection, so a cosamp that sets
+        # takes_pairs picks and prunes pairs with no other change; how many
+        # pairs cosamp should pick is left open (ROADMAP, conjugate pairs)
+        class PairCosamp(_CosampBlock):
+            takes_pairs = True
+
+        d, meas = scene
+        n, y = d.n, np.ascontiguousarray(meas.reshape(-1, d.m))
+        cfg = SolverConfig(kappa=kappa, time_limit=None, max_iter=200)
+        block, residual = PairCosamp(y, d, cfg), y
+        for _ in range(3):
+            candidates = block.candidates(matvecs(block.ah, residual))
+            assert (candidates == candidates[:, -np.arange(n) % n]).all()
+            residual, _ = block.step(y, residual)
+        x, _ = _solve_block(y, d, cfg, PairCosamp)
+        support = x != 0
+        assert (support == support[:, -np.arange(n) % n]).all()
+        assert (np.count_nonzero(support, axis=1) <= kappa).all()
+
     @pytest.mark.parametrize("name", GREEDY_SOLVERS)
     def test_complex_rows_keep_the_atom_path_bit_for_bit(self, scene, name):
         d, meas = scene
