@@ -16,11 +16,15 @@ objective
     H(x) = 0.5 * ||A x - y||^2 + lam * ||x||_1
 with block products, each row with its own momentum restart (fista) or
 penalty (admm); gomp, biht and cosamp greedily build a support of at
-most kappa atoms per row with block-wide projections, top-k picks, prunes
-and residuals, and least-squares refits stacked over rows of one support
-size, only their LAPACK calls row by row, so each pixel's iterates are the
-ones it gets alone.  Solvers draw no randomness, so
-results are reproducible bit for bit when the time budget is disabled.
+most kappa entries per row with block-wide projections, top-k picks,
+prunes and residuals, and least-squares refits stacked over rows of one
+support size, only their LAPACK calls row by row, so each pixel's iterates
+are the ones it gets alone.  One routing, _RowForm, sets the form every
+block works in: real measurements of a dictionary with a real form take
+its real matrix B on half spectra (fista and admm always, gomp and biht
+from kappa 2 on, as whole conjugate pairs), and every other call takes A
+in complex arithmetic.  Solvers draw no randomness, so results are
+reproducible bit for bit when the time budget is disabled.
 """
 
 import os
@@ -141,18 +145,41 @@ def _real_row_dots(u, v):
     return np.einsum("ij,ij->i", u.view(np.float64), v.view(np.float64))[:, None]
 
 
-def _lasso_form(y, dictionary):
-    """(forward, adjoint, dtype, l1 weights, unfold) of a convex block on
-    (k, m) measurement rows.  Its complex (k, w) state s takes A as
-    s.view(dtype) @ forward and A^H r as (r @ adjoint).view(complex128).
-    float64 rows of a dictionary with a real form hold half spectra
-    (w = n // 2 + 1), take B^T, B, float64 and half_weights, and unfold by
-    Dictionary.unfold; other rows hold x (w = n) and take A^T, conj(A),
-    complex128, weights 1 and np.asarray, which change no bit."""
-    if y.dtype == np.float64 and dictionary.real_form is not None:
-        b, bt = dictionary.real_form
-        return bt, b, np.float64, half_weights(dictionary.n), dictionary.unfold
-    return dictionary.matrix.T, dictionary.matrix.conj(), np.complex128, 1.0, np.asarray
+class _RowForm:
+    """The form a block's (k, m) measurement rows take, decided once per
+    block.  float64 rows of a dictionary with a real form, where the block
+    takes it (real), hold half spectra v = c * x[:h], h = n // 2 + 1 (c is
+    half_weights), as v's float64 view u: they take B (A x = B u), float64,
+    l1 weights c, conjugate pairs (_Pairs) as their selection units, the
+    Gram matrix B^T B, and unfold by Dictionary.unfold.  Other rows hold x
+    and take A, complex128, weights 1, atoms, A^H A and np.asarray, which
+    change no bit.
+
+    matrix and its conjugate adjoint are C-ordered, and transpose is
+    matrix.T: a convex block's complex (k, w) state s takes A as
+    s.view(dtype) @ transpose and A^H r as (r @ adjoint).view(complex128); a
+    greedy block's (k, w) dtype state takes them as matvecs(matrix, s) and
+    matvecs(adjoint.T, r)."""
+
+    def __init__(self, y, dictionary, real=True):
+        self.dictionary = dictionary
+        self.real = real and y.dtype == np.float64 and dictionary.real_form is not None
+        if self.real:
+            pairs = _Pairs(dictionary.n)
+            self.matrix, self.transpose = dictionary.real_form
+            self.dtype, self.weights, self.unfold = np.float64, pairs.weights, dictionary.unfold
+            self.pick, self.prune = pairs.pick, pairs.prune
+        else:
+            self.matrix, self.transpose = dictionary.matrix, dictionary.matrix.T
+            self.dtype, self.weights, self.unfold = np.complex128, 1.0, np.asarray
+            self.pick, self.prune = _pick, _prune
+        self.adjoint = self.matrix.conj()
+
+    @property
+    def gram(self):
+        """The Gram matrix of matrix, built on first use and cached by the
+        dictionary."""
+        return self.dictionary.real_gram if self.real else self.dictionary.gram
 
 
 class _FistaBlock:
@@ -160,7 +187,7 @@ class _FistaBlock:
     gradient restart of O'Donoghue & Candes (2015, "Adaptive restart for
     accelerated gradient schemes").
 
-    Rows take their products as _lasso_form sets them: on half spectra for
+    Rows take their products as _RowForm sets them: on half spectra for
     real measurements, and on x itself otherwise.  The two iterate alike:
     from 0, the complex path's iterates stay conjugate-symmetric, the
     gradient maps to B's, the weighted soft threshold is the l1 prox in v,
@@ -174,9 +201,10 @@ class _FistaBlock:
     """
 
     def __init__(self, y, dictionary, config):
-        self.fwd, self.adj, self.dtype, weights, self.unfold = _lasso_form(y, dictionary)
+        form = _RowForm(y, dictionary)
+        self.fwd, self.adj, self.dtype, self.unfold = form.transpose, form.adjoint, form.dtype, form.unfold
         self.inv_l = 1.0 / dictionary.lipschitz
-        self.threshold = config.lam * self.inv_l * weights
+        self.threshold = config.lam * self.inv_l * form.weights
         self.x = np.zeros((len(y), self.adj.shape[1]), dtype=self.dtype).view(np.complex128)
         self.z = self.x
         self.t = np.ones((len(y), 1))
@@ -210,7 +238,7 @@ class _FistaBlock:
 class _AdmmBlock:
     """Scaled-dual ADMM on a (k, w) block of pixel rows, each row with its
     own penalty alpha_j, starting at config.alpha; the penalties are a
-    (k, 1) column.  Rows take their products as _lasso_form sets them, as
+    (k, 1) column.  Rows take their products as _RowForm sets them, as
     in _FistaBlock; on half spectra the factor is that of B B^T.
 
     The x-update solves (A^H A + alpha_j I) x = A^H y + alpha_j (z - w) by
@@ -225,11 +253,12 @@ class _AdmmBlock:
     """
 
     def __init__(self, y, dictionary, config):
-        _, adj, self.dtype, weights, self.unfold = _lasso_form(y, dictionary)
-        self.eigenvalues, q, qa = dictionary.admm_factor(self.dtype == np.float64)
+        form = _RowForm(y, dictionary)
+        self.dtype, self.unfold = form.dtype, form.unfold
+        self.eigenvalues, q, qa = dictionary.admm_factor(form.real)
         self.qt, self.qat, self.qac = q.T, qa.T, qa.conj()
-        self.b = y @ adj
-        self.lam = config.lam * weights
+        self.b = y @ form.adjoint
+        self.lam = config.lam * form.weights
         self.z = np.zeros(self.b.shape, dtype=self.dtype).view(np.complex128)
         self.w = np.zeros_like(self.z)
         self.penalize(np.full((len(y), 1), config.alpha))
@@ -302,78 +331,80 @@ def _prune(x, candidates, kappa):
 
 
 class _Pairs:
-    """The conjugate pairs {k, -k mod n} of n bins, which the greedy rows of
-    a real spectrum pick and prune whole.  Pair k is held by its half bin
-    k <= n // 2, ranked by |v_k| + |v_(n-k)| and counted as 2 entries, or 1
-    where it is its own mirror (bin 0 and, for even n, bin n / 2); every
-    mask they return is closed under k -> -k mod n."""
+    """The conjugate pairs {k, -k mod n} of n bins on the real form, which
+    the greedy rows of a real spectrum pick and prune whole.  Half bin
+    k <= n // 2 holds pair k as B's columns 2k and 2k + 1, or as column 2k
+    alone where it is its own mirror (bin 0 and, for even n, bin n / 2),
+    and counts as that many entries.  A (k, 2h) vector u is ranked by
+    |v_k| / c_k of its half spectrum v (c is half_weights): |x_k| of the x
+    it stands for.  Every mask they return holds whole pairs."""
 
     def __init__(self, n):
-        k = np.arange(n // 2 + 1)
-        self.mirror = -k % n
-        self.sizes = np.where(k == self.mirror, 1, 2)
-        self.fold = np.minimum(np.arange(n), -np.arange(n) % n)  # the half bin of each bin
+        self.weights = half_weights(n)
+        self.sizes = np.where(self.weights == 1.0, 1, 2)
+        self.columns = np.arange(2 * self.sizes.size) % 2 < np.repeat(self.sizes, 2)  # B's nonzero columns
 
-    def scores(self, v):
-        return np.abs(v[:, : self.mirror.size]) + np.abs(v[:, self.mirror])
+    def scores(self, u):
+        return np.abs(u.view(np.complex128)) / self.weights
 
-    def pick(self, v, count):
-        """Mask of the count strongest pairs of each row of v."""
-        return _pick(self.scores(v), count)[:, self.fold]
+    def spread(self, half):
+        """The (k, 2h) column mask of a (k, h) mask of half bins."""
+        return np.repeat(half, 2, axis=-1) & self.columns
 
-    def prune(self, x, candidates, kappa):
-        """Mask of the strongest candidate pairs of each row of x, taken in
+    def pick(self, u, count):
+        """Mask of the count strongest pairs of each row of u."""
+        return self.spread(_pick(self.scores(u), count))
+
+    def prune(self, u, candidates, kappa):
+        """Mask of the strongest candidate pairs of each row of u, taken in
         rank order while they hold at most kappa entries; ties go toward the
-        lowest half bin, as in _prune.  candidates must be closed."""
-        half = candidates[:, : self.mirror.size]
-        order = np.argsort(np.where(half, -self.scores(x), np.inf), axis=-1, kind="stable")
+        lowest half bin, as in _prune.  candidates must hold whole pairs."""
+        half = candidates[:, ::2]
+        order = np.argsort(np.where(half, -self.scores(u), np.inf), axis=-1, kind="stable")
         ranked = np.take_along_axis(half, order, axis=-1)
         ranked &= np.cumsum(np.where(ranked, self.sizes[order], 0), axis=-1) <= kappa
         kept = np.zeros_like(half)
         np.put_along_axis(kept, order, ranked, axis=-1)
-        return kept[:, self.fold]
+        return self.spread(kept)
 
 
 class _GreedyBlock:
-    """Greedy pursuit on a (k, n) block of pixel rows.
+    """Greedy pursuit on a block of pixel rows.
 
-    Each row's support is a row of a (k, n) boolean mask.  An iteration
-    takes the residual projections, the candidate picks and prunes (a
-    stable sort per row) and the residuals of all rows at once, and refits
-    rows of one support size together, in stacks of at most REFIT_ENTRIES
-    atom entries, with a Cholesky factor and solves per row.  A stacked
-    product is one matrix-vector product per row, so a row computes in a
-    block exactly what it computes alone.  A row whose candidate support
-    outgrows the m measurements halts and keeps its last iterate.
-    Subclasses pick the candidates and may override the fit.
+    Each row's iterate is a row of a (k, w) array and its support a row of
+    a (k, w) boolean mask over the columns of the block's matrix.  An
+    iteration takes the residual projections, the candidate picks and
+    prunes (a stable sort per row) and the residuals of all rows at once,
+    and refits rows of one support size together, in stacks of at most
+    REFIT_ENTRIES column entries, with a Cholesky factor and solves per
+    row.  A stacked product is one matrix-vector product per row, so a row
+    computes in a block exactly what it computes alone.  A row whose
+    candidate support outgrows the m measurements halts and keeps its last
+    iterate.  Subclasses pick the candidates through self.pick and
+    self.prune alone, and may override the fit.
 
-    Where a subclass takes_pairs, float64 rows of a dictionary with a real
-    form (routed as _lasso_form routes them) pick and prune whole conjugate
-    pairs (_Pairs) once kappa >= 2: a real spectrum's coefficients come in
-    pairs, and a budget of 1 holds no pair.  Every other call picks and
-    prunes atoms.  Subclasses select through self.pick and self.prune
-    alone.  Either way the refit is the same complex least squares.
+    Where a subclass takes_pairs, rows take their form as _RowForm routes
+    them once kappa >= 2: float64 rows of a dictionary with a real form
+    work on the real form B, projecting by B^T, refitting on B's columns
+    against B^T B and forming residuals by B, and pick and prune whole
+    conjugate pairs (_Pairs): a real spectrum's coefficients come in pairs,
+    and a budget of 1 holds no pair.  Their x is exactly
+    conjugate-symmetric.  Every other call works on A's atoms, in complex
+    arithmetic.
     """
 
-    unfold = staticmethod(np.asarray)
     takes_pairs = False
 
     def __init__(self, y, dictionary, config):
         self.check(config, dictionary.m, dictionary.n)
-        self.a = dictionary.matrix
-        self.ah = self.a.conj().T
-        self.at = np.ascontiguousarray(self.a.T)
-        self.gram = dictionary.gram
-        _cholesky_routines(self.a.dtype)  # where numpy's LAPACK is not found, fails before any tile
+        form = _RowForm(y, dictionary, self.takes_pairs and config.kappa >= 2)
+        self.a, self.ah, self.unfold = form.matrix, form.adjoint.T, form.unfold
+        self.at, self.gram = np.ascontiguousarray(form.transpose), form.gram
+        self.pairs, self.pick, self.prune = form.real, form.pick, form.prune
+        _cholesky_routines(form.dtype)  # where numpy's LAPACK is not found, fails before any tile
         self.config = config
-        self.x = np.zeros((len(y), dictionary.n), dtype=np.complex128)
+        self.x = np.zeros((len(y), self.a.shape[1]), dtype=form.dtype)
         self.support = np.zeros(self.x.shape, dtype=bool)
-        self.pairs = (self.takes_pairs and config.kappa >= 2 and y.dtype == np.float64
-                      and dictionary.real_form is not None)
-        self.pick, self.prune = _pick, _prune
-        if self.pairs:
-            pairs = _Pairs(dictionary.n)
-            self.pick, self.prune = pairs.pick, pairs.prune
 
     @staticmethod
     def check(config, m, n):
@@ -387,17 +418,17 @@ class _GreedyBlock:
         fits = np.count_nonzero(candidates, axis=1) <= self.a.shape[0]
         y = y[fits]
         self.x[fits], self.support[fits] = self.fit(candidates[fits], y)
-        residual = residual.astype(np.complex128)  # the first is y, float64 for real rows
+        residual = residual.astype(self.x.dtype)  # the first is y, float64 for real rows
         residual[fits] = y - matvecs(self.a, self.x[fits])
         return residual, ~fits
 
     def solve(self, supports, y):
-        """Least squares of each row of a (c, m) y on the atoms of its row of
-        a (c, s) supports index array, through their blocks of the shared
-        Gram matrix: the (c, s) solutions.  A row's atoms are gathered from
-        A^T, so each (m, s) block has the strides of A's columns alone; a
-        row whose Gram block is numerically singular gets the minimum-norm
-        SVD solve."""
+        """Least squares of each row of a (c, m) y on the columns of its row
+        of a (c, s) supports index array, through their blocks of the shared
+        Gram matrix: the (c, s) solutions.  A row's columns are gathered
+        from the matrix's transpose, so each (m, s) block has the strides of
+        its columns alone; a row whose Gram block is numerically singular
+        gets the minimum-norm SVD solve."""
         b = self.at[supports].transpose(0, 2, 1)
         s, solved = gram_least_squares(b, self.gram[supports[:, :, None], supports[:, None, :]], y)
         for j in np.flatnonzero(~solved):
@@ -405,18 +436,18 @@ class _GreedyBlock:
         return s
 
     def refit(self, supports, y):
-        """solve for each row of y on the atoms of its row of a (k, n)
-        supports mask: the (k, n) least-squares iterates, zero off the
+        """solve for each row of y on the columns of its row of a (k, w)
+        supports mask: the (k, w) least-squares iterates, zero off the
         supports.  Rows are solved in groups of one support size, at most
-        REFIT_ENTRIES stacked atom entries at a time."""
-        x = np.zeros(supports.shape, dtype=np.complex128)
+        REFIT_ENTRIES stacked column entries at a time."""
+        x = np.zeros(supports.shape, dtype=self.x.dtype)
         sizes = np.count_nonzero(supports, axis=1)
         for size in np.flatnonzero(np.bincount(sizes)):
             group = np.flatnonzero(sizes == size)
             chunk = max(1, REFIT_ENTRIES // (size * y.shape[1]))
             for rows in np.split(group, range(chunk, group.size, chunk)):
-                atoms = np.nonzero(supports[rows])[1].reshape(rows.size, size)
-                x[rows[:, None], atoms] = self.solve(atoms, y[rows])
+                columns = np.nonzero(supports[rows])[1].reshape(rows.size, size)
+                x[rows[:, None], columns] = self.solve(columns, y[rows])
         return x
 
     def fit(self, candidates, y):
@@ -428,7 +459,7 @@ class _GreedyBlock:
 
     @property
     def solution(self):
-        return self.x
+        return self.x.view(np.complex128)
 
     def keep(self, rows):
         self.x, self.support = self.x[rows], self.support[rows]
@@ -471,8 +502,9 @@ class _BihtBlock(_GreedyBlock):
     the support moving whenever the residual is nonzero, whatever mu is;
     mu scales how many more atoms the gradient step admits.  Least squares
     on the candidates is pruned back to the kappa strongest entries.  On
-    pairs, the gradient step gives its strongest pairs holding at most kappa
-    entries, and the projection its strongest pair.
+    pairs, the gradient step, u + mu * B^T r on the real form, gives its
+    strongest pairs holding at most kappa entries, and the projection its
+    strongest pair.
     """
 
     takes_pairs = True
@@ -564,7 +596,7 @@ def _solve_block(ys, dictionary, config, block_type):
     Returns the (k, n) solutions and the block's RecoveryStats; a row whose
     iterate or delta turned non-finite is recorded as failed, its solution
     left at zero.  A row is unfolded into its x by the block's unfold when
-    it stops (_lasso_form).  Before each
+    it stops (_RowForm).  Before each
     iteration stop_check's rule stops a row when its delta drops below
     epsilon, else when its time charge reaches the budget, else at the
     iteration cap; a greedy row whose support outgrew the measurements
@@ -712,7 +744,9 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     values.  On float64 rows of a dictionary with a real form, fista and admm iterate on half
     spectra with real products and return exactly conjugate-symmetric vectors, the complex
     path's iterates to round-off; that path serves every other call.  On such rows gomp and
-    biht pick and prune whole conjugate pairs from kappa 2 on (_GreedyBlock).
+    biht pick and prune whole conjugate pairs from kappa 2 on, and project, refit and form
+    residuals on the real form, so they too return exactly conjugate-symmetric vectors
+    (_GreedyBlock).  The set-up block builds B and B^T B for them, and A^H A for the atom path.
     """
     if algorithm not in SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -725,7 +759,8 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
         raise ValueError("measurement length does not match the dictionary")
     block_type = _BLOCK_TYPES[algorithm]
     # a block of no pixels checks the config and builds the dictionary state
-    # the solver reads, once, before any worker forks
+    # the solver reads (the real form and its Gram matrix, where the rows take
+    # it), once, before any worker forks
     block_type(np.empty((0, m), dtype=meas.dtype), dictionary, config)
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1

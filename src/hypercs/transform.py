@@ -201,9 +201,9 @@ class Dictionary:
     Solver state is built on first use and cached: the Lipschitz constant
     that sets FISTA's step (1 for any row selection of a unitary basis),
     the Gram matrix A^H A of the greedy solvers' least squares, the real
-    form B of A on conjugate-symmetric vectors, where A has one, and the
-    eigendecomposition of A A^H (or of B B^T) through which ADMM solves its
-    damped system for any penalty.  The constructor takes the matrix alone.
+    form B of A on conjugate-symmetric vectors, where A has one, with its
+    Gram matrix B^T B, and the eigendecomposition of A A^H (or of B B^T)
+    through which ADMM solves its damped system for any penalty.  The constructor takes the matrix alone.
     recover_cube builds what its solver needs before forking worker
     processes, so every worker receives it with the dictionary.
 
@@ -258,6 +258,12 @@ class Dictionary:
         b[:, c == 1.0, 1] = 0.0  # an entry that is its own mirror is real
         b = b.reshape(self.m, 2 * h)
         return b, np.ascontiguousarray(b.T)
+
+    @cached_property
+    def real_gram(self):
+        """B^T B of the real form, built on first use."""
+        b = self.real_form[0]
+        return b.T @ b
 
     def unfold(self, v):
         """The conjugate-symmetric vectors x of the half spectra on v's last axis."""

@@ -288,14 +288,16 @@ class TestGramLeastSquares:
 
     def test_a_numpy_without_the_routines_fails_before_any_tile(self, monkeypatch):
         # the zero-pixel block looks the routines up before any tile or
-        # worker starts; a failed lookup is not cached
+        # worker starts, those of the real form's float64 refit for float64
+        # rows and the complex ones otherwise; a failed lookup is not cached
         monkeypatch.setattr(kernels, "SYMBOL_DECORATIONS", (("missing_", "", np.int64),))
         kernels.numpy_functions.cache_clear()
         tiles = []
         monkeypatch.setattr(solvers, "_solve_block", lambda *args: tiles.append(args))
         d = partial_fourier(16, 7, 0)
-        with pytest.raises(RuntimeError, match="exports none of missing_zposv_"):
-            solvers.recover_cube(np.ones((2, 2, 7)), d, SolverConfig(kappa=2), "gomp", jobs=2)
+        for dtype, routine in ((float, "dposv"), (complex, "zposv")):
+            with pytest.raises(RuntimeError, match=f"exports none of missing_{routine}_"):
+                solvers.recover_cube(np.ones((2, 2, 7), dtype=dtype), d, SolverConfig(kappa=2), "gomp", jobs=2)
         assert tiles == []
 
     def test_each_row_of_a_mixed_stack_gets_its_lone_bytes(self):

@@ -29,6 +29,7 @@ from hypercs import (
 from hypercs.kernels import argmax_k, gram_least_squares, least_squares, matvecs, one_blas_thread, soft_threshold
 from hypercs.solvers import (ADMM_MU, ADMM_TAU, REFIT_ENTRIES, _AdmmBlock, _BihtBlock, _CosampBlock, _FistaBlock,
                              _GompBlock, _Pairs, _prune, _real_row_dots, _solve_block)
+from hypercs.transform import half_weights
 
 from helpers import desk_scene, partial_fourier, planted_instance
 
@@ -826,7 +827,8 @@ class TestGreedyTiles:
         assert x.tobytes() == block.refit(top, y).tobytes()
 
     def test_gomp_pairs_skip_only_a_refit_that_repeats_the_first(self, scene):
-        # float64 rows of 1, 2 and 3 accumulated pairs at kappa 4: the rows
+        # float64 rows of 1, 2 and 3 accumulated pairs at kappa 4, each pair
+        # half bin k's two columns 2k and 2k + 1 of the real form: the rows
         # of 1 and 2 pairs keep them and skip the second solve, a row of 3
         # is re-fit on the 2 strongest, and every row's iterate is the bytes
         # of refitting on its pruned support
@@ -834,10 +836,10 @@ class TestGreedyTiles:
         y = np.ascontiguousarray(meas.reshape(-1, d.m)[:30])
         block = _GompBlock(y, d, SolverConfig(kappa=4, time_limit=None))
         rng = np.random.default_rng(5)
-        candidates = np.zeros((30, d.n), dtype=bool)
+        candidates = np.zeros((30, 2 * (d.n // 2 + 1)), dtype=bool)
         for row, size in zip(candidates, np.repeat([1, 2, 3], 10)):
             bins = rng.choice(np.arange(1, d.n // 2), size=size, replace=False)
-            row[bins] = row[d.n - bins] = True
+            row[2 * bins] = row[2 * bins + 1] = True
         refits = []
 
         def refit(supports, y, refit=block.refit):
@@ -848,11 +850,12 @@ class TestGreedyTiles:
         x, kept = block.fit(candidates, y)
         np.testing.assert_array_equal(kept, candidates)
         assert refits == [30, 10]
+        # no bin here is its own mirror, so each pair's score is |v_k| / sqrt(2)
         top = np.zeros_like(candidates)
-        for row, values, cand in zip(top, x, candidates):
-            bins = np.flatnonzero(cand[: d.n // 2])
-            strongest = bins[argmax_k(np.abs(values[bins]) + np.abs(values[d.n - bins]), min(2, bins.size))]
-            row[strongest] = row[d.n - strongest] = True
+        for row, values, cand in zip(top, x.view(complex), candidates):
+            bins = np.flatnonzero(cand[::2])
+            strongest = bins[argmax_k(np.abs(values[bins]), min(2, bins.size))]
+            row[2 * strongest] = row[2 * strongest + 1] = True
         np.testing.assert_array_equal(x != 0, top)
         assert x.tobytes() == block.refit(top, y).tobytes()
 
@@ -894,13 +897,14 @@ class TestGreedyTiles:
                 assert np.linalg.norm(row[atoms] - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_a_small_support_group_is_refit_in_one_stack(self, scene):
-        # 256 rows of 1 atom, as gomp's first iteration holds a tile: 13,056
-        # stacked atom entries, within REFIT_ENTRIES, so one solve call
+        # 256 float64 rows of 1 column of the real form each, as gomp's first
+        # iteration holds a tile whose picks are all self-paired bins: 13,056
+        # stacked entries, within REFIT_ENTRIES, so one solve call
         d, meas = scene
         y = np.ascontiguousarray(np.resize(meas.reshape(-1, d.m), (256, d.m)))
         block = _GompBlock(y, d, SolverConfig(kappa=4))
-        supports = np.zeros((256, d.n), dtype=bool)
-        supports[np.arange(256), np.arange(256) % d.n] = True
+        supports = np.zeros(block.support.shape, dtype=bool)
+        supports[np.arange(256), 2 * (np.arange(256) % (d.n // 2))] = True
         calls = []
 
         def solve(atoms, y, solve=block.solve):
@@ -961,13 +965,41 @@ ATOM_PATH_PINS = {
     "cosamp": "a449008fce5c8fbdc0484e03d84fbe50427e3cb23a9e2210d996e406d4b5d8f9",
 }
 ARITHMETIC_PIN = "31a6d42bfcc9f3ed5698b9403445f070376966a81b6ed9c1efa98ac1f370ba12"
+# each pixel's iterations on float64 rows of desk-greedy seed 1, at kappa 8,
+# then 16, as computed when gomp and biht picked pairs on n bins in complex
+# arithmetic; every pixel converged
+PAIR_ITERATIONS = {
+    "gomp": ("5" * 256, "3" * 256),
+    "biht": (
+        (
+            "3232223332342422223232322222322333222222222322223243323323222223322322322222232223234222332343332222"
+            "2332232232222322234332322232232222333222223233323233332222332232322223232223343333322223222222223322"
+            "23222432223232222233223322232223323322233322333322323222"
+        ),
+        (
+            "2222222222232322222232222222322222222222222222222222323223222223222222222222232222232222232222322222"
+            "2222222222222322222222322222232222222222222222222232232222222232322222222222222222222223222222222222"
+            "23222322222222222223223222222222323322222222222222222222"
+        ),
+    ),
+}
+
+
+def whole_pairs(mask, n):
+    """Whether every row of a (k, 2h) column mask of the real form of n bins
+    holds whole pairs: half bin k's imaginary column 2k + 1 with its real
+    column 2k, and never that of a bin that is its own mirror."""
+    h = n // 2 + 1
+    paired = -np.arange(h) % n != np.arange(h)
+    return mask.shape[1] == 2 * h and (mask[:, 1::2] == (mask[:, ::2] & paired)).all()
 
 
 class TestConjugatePairs:
-    """gomp and biht on float64 rows of a DFT row selection pick and prune
-    whole conjugate pairs from kappa 2 on; complex rows, kappa 1 and every
-    cosamp call take atoms.  Rows of a desk-greedy-shaped scene (16x16x128,
-    kappa_true 8, seed 1): m = 51, n = 128."""
+    """gomp and biht on float64 rows of a DFT row selection work on the real
+    form and pick and prune whole conjugate pairs from kappa 2 on; complex
+    rows, kappa 1 and every cosamp call take atoms.  Rows of a
+    desk-greedy-shaped scene (16x16x128, kappa_true 8, seed 1): m = 51,
+    n = 128, and 2 * 65 columns of the real form."""
 
     @pytest.fixture(scope="class")
     def scene(self):
@@ -975,29 +1007,34 @@ class TestConjugatePairs:
         return desk_scene(16, 16, 128, 8, 1, 0.01)
 
     def test_pair_prune_keeps_the_strongest_candidate_pairs_within_kappa(self):
-        # against a per-row walk down the ranked candidate pairs, for odd n
+        # against a per-row walk down the candidate pairs ranked by |x_k| of
+        # the conjugate-symmetric x each half spectrum stands for, for odd n
         # (one self-paired bin) and even n (two)
         rng = np.random.default_rng(4)
         for n in (15, 16):
-            pairs, mirror = _Pairs(n), -np.arange(n) % n
-            x = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
+            h = n // 2 + 1
+            pairs, mirror, c = _Pairs(n), -np.arange(h) % n, half_weights(n)
+            x = rng.standard_normal((40, h)) + 1j * rng.standard_normal((40, h))
             x[::3] = np.round(x[::3].real)  # ties among small integers, exact zeros
-            candidates = rng.uniform(size=x.shape) < rng.uniform(0.05, 0.9, size=(40, 1))
-            candidates[0] = False
-            candidates[0, 0] = True  # a lone self-paired bin
-            candidates |= candidates[:, mirror]
+            x[:, mirror == np.arange(h)] = x[:, mirror == np.arange(h)].real  # self-paired bins are real
+            u = (c * x).view(np.float64)
+            half = rng.uniform(size=x.shape) < rng.uniform(0.05, 0.9, size=(40, 1))
+            half[0] = False
+            half[0, 0] = True  # a lone self-paired bin
+            candidates = np.repeat(half, 2, axis=1)
+            candidates[:, 1::2] &= mirror != np.arange(h)
             for kappa in (2, 3, 5, n):
-                kept = pairs.prune(x, candidates, kappa)
-                for row, cand, keep in zip(x, candidates, kept):
-                    bins = np.flatnonzero(cand[: n // 2 + 1])
-                    scores = np.abs(row[bins]) + np.abs(row[mirror[bins]])
-                    expected, held = np.zeros(n, dtype=bool), 0
-                    for k in bins[np.argsort(-scores, kind="stable")]:
+                kept = pairs.prune(u, candidates, kappa)
+                assert whole_pairs(kept, n)
+                for row, cand, keep in zip(x, half, kept):
+                    bins = np.flatnonzero(cand)
+                    expected, held = np.zeros(h, dtype=bool), 0
+                    for k in bins[np.argsort(-np.abs(row[bins]), kind="stable")]:
                         held += 1 if k == mirror[k] else 2
                         if held > kappa:
                             break
-                        expected[[k, mirror[k]]] = True
-                    np.testing.assert_array_equal(keep, expected)
+                        expected[k] = True
+                    np.testing.assert_array_equal(keep[::2], expected)
 
     @pytest.mark.parametrize("name", ["gomp", "biht"])
     @pytest.mark.parametrize("kappa", [8, 16])
@@ -1024,30 +1061,32 @@ class TestConjugatePairs:
 
     @pytest.mark.parametrize("kappa, per_iter", [(8, 1), (16, 3)])
     def test_gomp_picks_atoms_per_iter_pairs(self, scene, kappa, per_iter):
-        # G picks are G pairs or self-paired bins, never both halves of one pair
+        # G picks are G pairs or self-paired bins, each whole: G half bins,
+        # holding more than G columns of the real form
         d, meas = scene
         n, y = d.n, np.ascontiguousarray(meas.reshape(-1, d.m))
         block = _GompBlock(y, d, SolverConfig(kappa=kappa, atoms_per_iter=per_iter))
         picked = block.candidates(matvecs(block.ah, y))
-        assert (picked == picked[:, -np.arange(n) % n]).all()
-        assert (np.count_nonzero(picked[:, : n // 2 + 1], axis=1) == per_iter).all()
+        assert whole_pairs(picked, n)
+        assert (np.count_nonzero(picked[:, ::2], axis=1) == per_iter).all()
         assert (np.count_nonzero(picked, axis=1) > per_iter).all()
 
     @pytest.mark.parametrize("kappa", [8, 16])
     def test_biht_candidates_are_whole_pairs(self, scene, kappa):
         # from x = 0: the gradient step's strongest pairs within kappa entries
-        # and the strongest projection's pair
+        # and the strongest projection's pair, ranked as |p_k| + |p_(n-k)| of
+        # the complex projections p = A^H y rank them
         d, meas = scene
         n, y = d.n, np.ascontiguousarray(meas.reshape(-1, d.m))
         block = _BihtBlock(y, d, SolverConfig(kappa=kappa))
-        g = matvecs(block.ah, y)
-        candidates = block.candidates(g)
+        candidates = block.candidates(matvecs(block.ah, y))
         h = n // 2 + 1
-        assert (candidates == candidates[:, -np.arange(n) % n]).all()
+        assert whole_pairs(candidates, n)
         counts = np.count_nonzero(candidates, axis=1)
         assert ((kappa - 1 <= counts) & (counts <= kappa + 2)).all()
-        strongest = argmax_k(np.abs(g[:, :h]) + np.abs(g[:, -np.arange(h) % n]), 1)
-        assert np.take_along_axis(candidates, strongest, axis=1).all()
+        p = matvecs(d.matrix.conj().T, y)
+        strongest = argmax_k(np.abs(p[:, :h]) + np.abs(p[:, -np.arange(h) % n]), 1)
+        assert np.take_along_axis(candidates, 2 * strongest, axis=1).all()
 
     @pytest.mark.parametrize("kappa", [4, 8])
     def test_a_block_takes_pairs_through_takes_pairs_alone(self, scene, kappa):
@@ -1063,12 +1102,67 @@ class TestConjugatePairs:
         block, residual = PairCosamp(y, d, cfg), y
         for _ in range(3):
             candidates = block.candidates(matvecs(block.ah, residual))
-            assert (candidates == candidates[:, -np.arange(n) % n]).all()
+            assert whole_pairs(candidates, n)
             residual, _ = block.step(y, residual)
         x, _ = _solve_block(y, d, cfg, PairCosamp)
         support = x != 0
         assert (support == support[:, -np.arange(n) % n]).all()
         assert (np.count_nonzero(support, axis=1) <= kappa).all()
+
+    @pytest.mark.parametrize("name", ["gomp", "biht"])
+    def test_each_pixel_keeps_its_iterations_and_flag(self, scene, name):
+        # on the real form, every pixel takes the iterations it took when the
+        # pairs were picked, pruned and refit in complex arithmetic on n bins
+        d, meas = scene
+        for kappa, pinned in zip((8, 16), PAIR_ITERATIONS[name]):
+            cfg = SolverConfig(kappa=kappa, time_limit=None, max_iter=200)
+            _, stats = recover_cube(meas, d, cfg, name)
+            assert "".join(map(str, stats.iterations)) == pinned
+            assert stats.converged.all()
+
+    @pytest.mark.parametrize("name", ["gomp", "biht"])
+    @pytest.mark.parametrize("kappa", [8, 16])
+    def test_each_pixel_is_symmetric_and_the_least_squares_on_its_support(self, scene, name, kappa):
+        # x[n - k] is conj(x[k]) byte for byte wherever the two are distinct
+        # bins, and a bin that is its own mirror is real; each pixel is the
+        # least-squares fit of its measurements on its support
+        d, meas = scene
+        n, y = d.n, meas.reshape(-1, d.m)
+        cube, _ = recover_cube(meas, d, SolverConfig(kappa=kappa, time_limit=None, max_iter=200), name)
+        x = cube.reshape(-1, n)
+        mirror = -np.arange(n) % n
+        paired = mirror != np.arange(n)
+        assert x[:, mirror][:, paired].tobytes() == x.conj()[:, paired].tobytes()
+        assert not x[:, ~paired].imag.any()
+        for row, target in zip(x, y):
+            support = np.flatnonzero(row)
+            expected = np.linalg.lstsq(d.matrix[:, support], target, rcond=None)[0]
+            assert np.linalg.norm(row[support] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_workers_get_the_bytes_of_the_serial_run_and_the_real_gram_from_the_parent(self, monkeypatch):
+        # the zero-pixel block of recover_cube builds B^T B before the pool
+        # forks, and nothing builds A^H A
+        d, meas = desk_scene(4, 4, 128, 8, 1, 0.01)
+        parent, calls = os.getpid(), []
+        real_gram = Dictionary.real_gram.func
+
+        def parent_real_gram(self):
+            assert os.getpid() == parent, "a pool worker built B^T B"
+            calls.append("real_gram")
+            return real_gram(self)
+
+        built = functools.cached_property(parent_real_gram)
+        built.__set_name__(Dictionary, "real_gram")
+        monkeypatch.setattr(Dictionary, "real_gram", built)
+        for name in ("gomp", "biht"):
+            cfg = SolverConfig(kappa=8, time_limit=None, max_iter=200)
+            pooled, pooled_stats = recover_cube(meas, d, cfg, name, jobs=2)
+            serial, stats = recover_cube(meas, d, cfg, name)
+            assert pooled.tobytes() == serial.tobytes()
+            for field in ("iterations", "converged", "final_delta", "failed_at"):
+                assert getattr(pooled_stats, field).tobytes() == getattr(stats, field).tobytes()
+        assert calls == ["real_gram"]
+        assert "gram" not in vars(d)
 
     @pytest.mark.parametrize("name", GREEDY_SOLVERS)
     def test_complex_rows_keep_the_atom_path_bit_for_bit(self, scene, name):
