@@ -34,7 +34,7 @@ from .metrics import (
     psnr,
     write_report,
 )
-from .solvers import CONVEX_SOLVERS, SOLVERS, SolverConfig, recover_cube
+from .solvers import CONVEX_SOLVERS, SOLVERS, STOP_REASONS, SolverConfig, recover_cube
 from .transform import (
     build_dft_basis,
     build_dictionary,
@@ -141,24 +141,25 @@ def _tag(algorithm, config):
 
 def _write_pixel_log(path, stats, y_dim):
     """One row per pixel in raster order; a failed pixel reads
-    x,y,<failed_at>,0,,,1."""
+    x,y,<failed_at>,0,,,1,numerical_failure."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "iterations", "converged", "elapsed_s", "final_delta", "failed"])
+        writer.writerow(["x", "y", "iterations", "converged", "elapsed_s", "final_delta", "failed", "stop_reason"])
         rows = zip(
             stats.iterations.tolist(),
             stats.converged.tolist(),
             stats.elapsed.tolist(),
             stats.final_delta.tolist(),
             stats.failed_at.tolist(),
+            (STOP_REASONS[code] for code in stats.stop_reason.tolist()),
         )
-        for index, (iterations, converged, elapsed, final_delta, failed_at) in enumerate(rows):
+        for index, (iterations, converged, elapsed, final_delta, failed_at, reason) in enumerate(rows):
             ix, iy = divmod(index, y_dim)
             if failed_at:
-                writer.writerow([ix, iy, failed_at, 0, "", "", 1])
+                writer.writerow([ix, iy, failed_at, 0, "", "", 1, reason])
             else:
                 writer.writerow(
-                    [ix, iy, iterations, int(converged), f"{elapsed:.6f}", f"{final_delta:.3e}", 0]
+                    [ix, iy, iterations, int(converged), f"{elapsed:.6f}", f"{final_delta:.3e}", 0, reason]
                 )
 
 
@@ -206,6 +207,7 @@ def run_recover(run_dir, algorithm, config, jobs):
         "n_converged": stats.n_converged,
         "n_failed": stats.n_failed,
         "n_zero_pixels": stats.n_zero_pixels,
+        "stop_reasons": stats.stop_counts,
         "total_iterations": stats.total_iterations,
         "mean_iterations_per_pixel": stats.total_iterations / stats.n_pixels,
         "convergence_pct": stats.convergence_pct,

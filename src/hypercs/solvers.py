@@ -7,7 +7,9 @@ vector from y ~ A x.  Iterations run until the l2 distance between
 consecutive residuals y - A x drops below epsilon, a wall-clock budget runs
 out, or an iteration cap is hit; the distance starts at 1 so every solver
 performs at least one iteration (except for y = 0, which short-circuits to
-the zero vector).
+the zero vector).  A greedy row also stops when its candidate set outgrows
+the measurements, or repeats one it held at an earlier iteration (a cycle).
+Each pixel records why it stopped, as one of STOP_REASONS.
 
 One loop, _solve_block, iterates every solver on a block of pixel rows
 sharing A; recover_cube is its one way in, a single pixel being a 1x1
@@ -21,9 +23,9 @@ prunes and residuals, and least-squares refits stacked over rows of one
 support size, only their LAPACK calls row by row, so each pixel's iterates
 are the ones it gets alone.  One routing, _RowForm, sets the form every
 block works in: real measurements of a dictionary with a real form take
-its real matrix B on half spectra (fista and admm always, gomp and biht
-from kappa 2 on, as whole conjugate pairs), and every other call takes A
-in complex arithmetic.  Solvers draw no randomness, so results are
+its real matrix B on half spectra (fista and admm always, the greedy
+solvers from kappa 2 on, as whole conjugate pairs), and every other call
+takes A in complex arithmetic.  Solvers draw no randomness, so results are
 reproducible bit for bit when the time budget is disabled.
 """
 
@@ -104,6 +106,12 @@ class SolverResult:
     converged: bool
     elapsed: float  # time charge, the wall time of a single-pixel solve
     final_delta: float
+    stop_reason: str  # one of STOP_REASONS
+
+
+# why a pixel stopped: the first that holds, in this order (_solve_block)
+STOP_REASONS = ("numerical_failure", "converged", "support_overflow", "cycled", "timeout", "iter_cap")
+NUMERICAL_FAILURE, CONVERGED, SUPPORT_OVERFLOW, CYCLED, TIMEOUT, ITER_CAP = range(len(STOP_REASONS))
 
 
 def stop_check(delta, charge, iterations, config):
@@ -115,7 +123,10 @@ def stop_check(delta, charge, iterations, config):
     the block has completed.  Returns the boolean arrays (converged,
     stopped): a pixel stops when it converged (delta < epsilon, strictly),
     else when its charge reached the time budget, else at the iteration cap;
-    only the first counts as converged.
+    only the first counts as converged.  A greedy row also stops, and
+    unconverged unless its delta converged, when its candidate set outgrew
+    the measurements or repeats one it held at an earlier iteration
+    (_GreedyBlock, _solve_block).
     """
     converged = delta < config.epsilon
     stopped = converged.copy()
@@ -211,7 +222,7 @@ class _FistaBlock:
 
     def step(self, y, residual):
         """One iteration; returns the residual of the new iterate and the
-        rows that halted (none)."""
+        rows that halted and that cycled (none)."""
         # 1. gradient step on the quadratic term at the extrapolated point
         gradient = (self.z.view(self.dtype) @ self.fwd - y) @ self.adj
         aux = self.z - (self.inv_l * gradient).view(np.complex128)
@@ -225,7 +236,8 @@ class _FistaBlock:
         # 4. extrapolation
         self.z = x_new + ((t - 1.0) / t_new) * step
         self.x, self.t = x_new, t_new
-        return y - self.x.view(self.dtype) @ self.fwd, np.zeros(len(y), dtype=bool)
+        none = np.zeros(len(y), dtype=bool)
+        return y - self.x.view(self.dtype) @ self.fwd, none, none
 
     @property
     def solution(self):
@@ -272,8 +284,8 @@ class _AdmmBlock:
 
     def step(self, y, residual):
         """One iteration; returns the residual of the x iterate, which feeds
-        the stop rule, and the rows that halted (none).  The solution is
-        the sparse iterate z."""
+        the stop rule, and the rows that halted and that cycled (none).  The
+        solution is the sparse iterate z."""
         # 1. quadratic solve by Woodbury, in place on u = A^H y + alpha (z - w),
         #    x's view; v = Q^H A x
         x = self.z - self.w
@@ -299,7 +311,8 @@ class _AdmmBlock:
             scale = np.where(up, ADMM_TAU, np.where(down, 1.0 / ADMM_TAU, 1.0))
             self.w *= 1.0 / scale  # exact: the scale is a power of two
             self.penalize(self.alpha * scale)
-        return y - v @ self.qt, np.zeros(len(y), dtype=bool)
+        none = np.zeros(len(y), dtype=bool)
+        return y - v @ self.qt, none, none
 
     @property
     def solution(self):
@@ -383,21 +396,27 @@ class _GreedyBlock:
     iterate.  Subclasses pick the candidates through self.pick and
     self.prune alone, and may override the fit.
 
-    Where a subclass takes_pairs, rows take their form as _RowForm routes
-    them once kappa >= 2: float64 rows of a dictionary with a real form
-    work on the real form B, projecting by B^T, refitting on B's columns
-    against B^T B and forming residuals by B, and pick and prune whole
-    conjugate pairs (_Pairs): a real spectrum's coefficients come in pairs,
-    and a budget of 1 holds no pair.  Their x is exactly
-    conjugate-symmetric.  Every other call works on A's atoms, in complex
-    arithmetic.
-    """
+    A row's candidate set is its whole state: its iterate, kept support and
+    residual are functions of it, so a row whose candidate set repeats one
+    it held at an earlier iteration cycles, and stops (cycled).  Its kept
+    support alone may repeat on the way to a fit.  Each row keeps one saved
+    candidate set, compared with its new one every iteration and replaced
+    at iterations that are powers of two, which finds every cycle once the
+    window outgrows its period (Brent 1980).  A repeat after one iteration
+    gives a delta of 0, so that row converges.
 
-    takes_pairs = False
+    Rows take their form as _RowForm routes them once kappa >= 2: float64
+    rows of a dictionary with a real form work on the real form B,
+    projecting by B^T, refitting on B's columns against B^T B and forming
+    residuals by B, and pick and prune whole conjugate pairs (_Pairs): a
+    real spectrum's coefficients come in pairs, and a budget of 1 holds no
+    pair.  Their x is exactly conjugate-symmetric.  Every other call works
+    on A's atoms, in complex arithmetic.
+    """
 
     def __init__(self, y, dictionary, config):
         self.check(config, dictionary.m, dictionary.n)
-        form = _RowForm(y, dictionary, self.takes_pairs and config.kappa >= 2)
+        form = _RowForm(y, dictionary, config.kappa >= 2)
         self.a, self.ah, self.unfold = form.matrix, form.adjoint.T, form.unfold
         self.at, self.gram = np.ascontiguousarray(form.transpose), form.gram
         self.pairs, self.pick, self.prune = form.real, form.pick, form.prune
@@ -405,6 +424,7 @@ class _GreedyBlock:
         self.config = config
         self.x = np.zeros((len(y), self.a.shape[1]), dtype=form.dtype)
         self.support = np.zeros(self.x.shape, dtype=bool)
+        self.saved, self.iterations = self.support.copy(), 0
 
     @staticmethod
     def check(config, m, n):
@@ -412,15 +432,20 @@ class _GreedyBlock:
             raise ValueError(f"kappa must be <= {m}")
 
     def step(self, y, residual):
-        """One iteration on every row; returns the new residuals and the
-        rows that halted, whose iterate and residual stay as they were."""
+        """One iteration on every row; returns the new residuals, the rows
+        that halted, whose iterate and residual stay as they were, and the
+        rows whose candidate set repeats their saved one."""
         candidates = self.candidates(matvecs(self.ah, residual))
+        self.iterations += 1
+        cycled = (candidates == self.saved).all(axis=1)
+        if not self.iterations & (self.iterations - 1):
+            self.saved = candidates
         fits = np.count_nonzero(candidates, axis=1) <= self.a.shape[0]
         y = y[fits]
         self.x[fits], self.support[fits] = self.fit(candidates[fits], y)
         residual = residual.astype(self.x.dtype)  # the first is y, float64 for real rows
         residual[fits] = y - matvecs(self.a, self.x[fits])
-        return residual, ~fits
+        return residual, ~fits, cycled
 
     def solve(self, supports, y):
         """Least squares of each row of a (c, m) y on the columns of its row
@@ -462,7 +487,7 @@ class _GreedyBlock:
         return self.x.view(np.complex128)
 
     def keep(self, rows):
-        self.x, self.support = self.x[rows], self.support[rows]
+        self.x, self.support, self.saved = self.x[rows], self.support[rows], self.saved[rows]
 
 
 class _GompBlock(_GreedyBlock):
@@ -473,8 +498,6 @@ class _GompBlock(_GreedyBlock):
     strongest entries of the scattered least-squares solution: on atoms,
     ranked over all n entries; on pairs, over the candidates.
     """
-
-    takes_pairs = True
 
     def candidates(self, p):
         # 1. strongest residual projections extend the accumulated support
@@ -507,8 +530,6 @@ class _BihtBlock(_GreedyBlock):
     strongest pair.
     """
 
-    takes_pairs = True
-
     def candidates(self, g):
         # 1. top entries of the gradient step + current support + the
         #    strongest residual projection
@@ -519,8 +540,11 @@ class _BihtBlock(_GreedyBlock):
 class _CosampBlock(_GreedyBlock):
     """Compressive sampling matching pursuit (Needell & Tropp 2009).
 
-    The candidate set joins the 2*kappa strongest residual projections with
-    the support kept after the previous prune.
+    The candidate set joins 2*kappa entries of the strongest residual
+    projections, 2*kappa atoms or kappa pairs, with the support kept after
+    the previous prune: at most 3*kappa entries, so a row halts where they
+    outgrow the m measurements.  The prune keeps the kappa strongest
+    entries, or the strongest pairs that hold at most kappa.
     """
 
     @staticmethod
@@ -530,7 +554,8 @@ class _CosampBlock(_GreedyBlock):
         _GreedyBlock.check(config, m, n)
 
     def candidates(self, p):
-        return self.support | self.pick(p, 2 * self.config.kappa)
+        kappa = self.config.kappa
+        return self.support | self.pick(p, kappa if self.pairs else 2 * kappa)
 
 
 @dataclass
@@ -538,28 +563,39 @@ class RecoveryStats:
     """Per-pixel record of a solve, one array entry per pixel, and the
     aggregates derived from it.
 
-    iterations, converged, elapsed (the time charge), final_delta and
-    failed_at, the iteration at which the pixel's iterate or delta turned
-    non-finite, else 0.  A failed pixel records only failed_at and its
-    charge; recovery_time_s sums the charges of the other pixels, the wall
-    time of the solves when jobs == 1, a sum across workers when jobs > 1.
+    iterations, stop_reason (an index into STOP_REASONS), elapsed (the time
+    charge), final_delta and failed_at, the iteration at which the pixel's
+    iterate or delta turned non-finite, else 0.  A failed pixel records only
+    failed_at, its reason and its charge; recovery_time_s sums the charges
+    of the other pixels, the wall time of the solves when jobs == 1, a sum
+    across workers when jobs > 1.
     """
 
     iterations: np.ndarray
-    converged: np.ndarray
+    stop_reason: np.ndarray
     elapsed: np.ndarray
     final_delta: np.ndarray
     failed_at: np.ndarray
 
     @classmethod
     def zeros(cls, k):
-        return cls(np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool), np.zeros(k),
+        return cls(np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int8), np.zeros(k),
                    np.zeros(k), np.zeros(k, dtype=np.int64))
 
     def put(self, first, tile):
         """Copy the record of a tile of consecutive pixels in at index first."""
         for name, values in vars(tile).items():
             getattr(self, name)[first : first + values.size] = values
+
+    @property
+    def converged(self):
+        return self.stop_reason == CONVERGED
+
+    @property
+    def stop_counts(self):
+        """The number of pixels that stopped for each of STOP_REASONS."""
+        counts = np.bincount(self.stop_reason, minlength=len(STOP_REASONS))
+        return dict(zip(STOP_REASONS, counts.tolist()))
 
     @property
     def n_pixels(self):
@@ -596,30 +632,33 @@ def _solve_block(ys, dictionary, config, block_type):
     Returns the (k, n) solutions and the block's RecoveryStats; a row whose
     iterate or delta turned non-finite is recorded as failed, its solution
     left at zero.  A row is unfolded into its x by the block's unfold when
-    it stops (_RowForm).  Before each
-    iteration stop_check's rule stops a row when its delta drops below
-    epsilon, else when its time charge reaches the budget, else at the
-    iteration cap; a greedy row whose support outgrew the measurements
-    stops unconverged with its last completed iteration.
-    Stopped rows leave the block.  Each row is charged an equal share of
-    the block's set-up and of every iteration it takes part in, so the
-    charges of a solve sum to its wall time and a single row is charged its
-    wall time.  All-zero rows short-circuit to the zero vector with 0
-    iterations, after the block type has validated the config.
+    it stops (_RowForm).  Before each iteration stop_check's rule stops a
+    row when its delta drops below epsilon, else when its time charge
+    reaches the budget, else at the iteration cap; a greedy row whose
+    support outgrew the measurements stops unconverged with its last
+    completed iteration, and one whose candidate set repeated stops
+    unconverged (cycled) with its iteration counted, unless its delta
+    converged.  Each row records the first reason that holds, in
+    STOP_REASONS' order.  Stopped rows leave the block.  Each row is
+    charged an equal share of the block's set-up and of every iteration it
+    takes part in, so the charges of a solve sum to its wall time and a
+    single row is charged its wall time.  All-zero rows short-circuit to
+    the zero vector with 0 iterations, after the block type has validated
+    the config.
     """
     start = time.perf_counter()
     k = len(ys)
     solution = np.zeros((k, dictionary.n), dtype=np.complex128)
     stats = RecoveryStats.zeros(k)
     nonzero = ys.any(axis=1)
-    stats.converged[~nonzero] = True
+    stats.stop_reason[~nonzero] = CONVERGED
     rows = np.flatnonzero(nonzero)  # block row of each active row
     y = ys[rows]
     block = block_type(y, dictionary, config)
     residual = y
     delta = np.ones(rows.size)  # starts at 1: at least one iteration
     finite = np.ones(rows.size, dtype=bool)
-    halted = np.zeros(rows.size, dtype=bool)
+    halted = cycled = np.zeros(rows.size, dtype=bool)
     iterations = 0
     mark = time.perf_counter()
     stats.elapsed[:] = charge = (mark - start) / k
@@ -629,14 +668,22 @@ def _solve_block(ys, dictionary, config, block_type):
         charge += (now - mark) / rows.size
         mark = now
         converged, stopped = stop_check(delta, charge, iterations, config)
-        stopped |= halted | ~finite
+        stopped |= halted | cycled | ~finite
         if stopped.any():
-            stats.elapsed[rows[stopped]] = charge
+            # the first reason that holds, in STOP_REASONS' order: a later
+            # assignment wins
+            timed_out = config.time_limit is not None and charge >= config.time_limit
+            reason = np.where(cycled, CYCLED, TIMEOUT if timed_out else ITER_CAP)
+            reason[halted] = SUPPORT_OVERFLOW
+            reason[converged] = CONVERGED
+            reason[~finite] = NUMERICAL_FAILURE
+            ended = rows[stopped]
+            stats.elapsed[ended] = charge
+            stats.stop_reason[ended] = reason[stopped]
             solved = stopped & finite
             done = rows[solved]
             solution[done] = block.unfold(block.solution[solved])
             stats.iterations[done] = iterations - halted[solved]
-            stats.converged[done] = converged[solved]
             stats.final_delta[done] = delta[solved]
             stats.failed_at[rows[stopped & ~finite]] = iterations
             keep = ~stopped
@@ -645,7 +692,7 @@ def _solve_block(ys, dictionary, config, block_type):
                 break
             block.keep(keep)
         residual_prev = residual
-        residual, halted = block.step(y, residual)
+        residual, halted, cycled = block.step(y, residual)
         # a halted row keeps the delta of its last completed iteration
         delta = np.where(halted, delta, residual_delta(residual, residual_prev))
         iterations += 1
@@ -664,6 +711,7 @@ def _solve_pixel(y, dictionary, config, algorithm):
         converged=bool(stats.converged[0]),
         elapsed=float(stats.elapsed[0]),
         final_delta=float(stats.final_delta[0]),
+        stop_reason=STOP_REASONS[stats.stop_reason[0]],
     )
 
 
@@ -743,10 +791,12 @@ def recover_cube(measurements, dictionary, config, algorithm, jobs=1):
     Rows are float64, or complex128 where the measurements' dtype is complex, whatever their
     values.  On float64 rows of a dictionary with a real form, fista and admm iterate on half
     spectra with real products and return exactly conjugate-symmetric vectors, the complex
-    path's iterates to round-off; that path serves every other call.  On such rows gomp and
-    biht pick and prune whole conjugate pairs from kappa 2 on, and project, refit and form
-    residuals on the real form, so they too return exactly conjugate-symmetric vectors
+    path's iterates to round-off; that path serves every other call.  On such rows gomp, biht
+    and cosamp pick and prune whole conjugate pairs from kappa 2 on, and project, refit and
+    form residuals on the real form, so they too return exactly conjugate-symmetric vectors
     (_GreedyBlock).  The set-up block builds B and B^T B for them, and A^H A for the atom path.
+    A greedy pixel whose candidate set repeats one it held before stops unconverged, as
+    cycled; each pixel's stats record why it stopped (STOP_REASONS).
     """
     if algorithm not in SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")

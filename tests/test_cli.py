@@ -397,24 +397,25 @@ class TestRecover:
         tag = f"{name}_lambda0.1" if name in ("fista", "admm") else f"{name}_kappa5"
         with open(run_dir / f"pixels_{tag}.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["x", "y", "iterations", "converged", "elapsed_s", "final_delta", "failed"]
+        assert rows[0] == ["x", "y", "iterations", "converged", "elapsed_s", "final_delta", "failed", "stop_reason"]
         assert [row[:2] for row in rows[1:]] == [[str(ix), str(iy)] for ix in range(4) for iy in range(3)]
         for row in rows[1:]:
             ix, iy = int(row[0]), int(row[1])
             if (ix, iy) == (1, 1):
-                assert row == ["1", "1", "1", "0", "", "", "1"]
+                assert row == ["1", "1", "1", "0", "", "", "1", "numerical_failure"]
                 with pytest.raises(NumericalFailure):
                     SOLVERS[name](meas[ix, iy], dictionary, config)
                 continue
             single = SOLVERS[name](meas[ix, iy], dictionary, config)
             assert row[2:4] == [str(single.iterations), str(int(single.converged))]
             assert float(row[4]) >= 0.0
-            assert row[5:] == [f"{single.final_delta:.3e}", "0"]
+            assert row[5:] == [f"{single.final_delta:.3e}", "0", single.stop_reason]
             if (ix, iy) == (0, 2):
-                assert row[2:4] == ["0", "1"]
+                assert row[2:4] == ["0", "1"] and row[7] == "converged"
             if name == "cosamp" and (ix, iy) == (2, 1):
                 # 3 kappa = 15 candidates outgrow the m = 10 measurements: the pixel halts
                 assert row[3] == "0" and 0 < single.iterations < 400
+                assert row[7] == "support_overflow"
 
 
 class TestReport:
